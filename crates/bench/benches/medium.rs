@@ -141,25 +141,6 @@ fn bench_medium(c: &mut Criterion) {
         MediumBackend::Culled,
     );
 
-    // Small-topology regression guard: on the 6-node testbed scale the
-    // two backends must be within noise of each other (no > 2% cost
-    // from the grid machinery).
-    let testbed6: Vec<Position> = (0..6)
-        .map(|i| Position::new(10.0 * i as f64, 3.0 * i as f64))
-        .collect();
-    backend_cycle_bench(
-        c,
-        "medium_cycle_6_nodes_exhaustive",
-        testbed6.clone(),
-        MediumBackend::Exhaustive,
-    );
-    backend_cycle_bench(
-        c,
-        "medium_cycle_6_nodes_culled",
-        testbed6,
-        MediumBackend::Culled,
-    );
-
     // The mobility acceptance pair: the same 150-node scatter, but every
     // cycle also moves one (non-transmitting) node to a fresh waypoint —
     // the random-waypoint churn that makes `set_position` the hot path.

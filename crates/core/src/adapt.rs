@@ -8,15 +8,13 @@
 //! candidate windows and payload sizes for every `(h, c)` cell; lookups
 //! clamp out-of-range counts to the table edge.
 
-use serde::{Deserialize, Serialize};
-
 use comap_mac::timing::PhyTiming;
 use comap_radio::rates::Rate;
 
 use crate::model::{DcfModel, HiddenProfile, ModelInput};
 
 /// One precomputed best setting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxSetting {
     /// Contention window to install.
     pub cw: u32,
@@ -40,7 +38,7 @@ pub struct TxSetting {
 /// // More hidden terminals ⇒ shorter packets.
 /// assert!(noisy.payload_bytes <= calm.payload_bytes);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationTable {
     max_hidden: usize,
     max_contenders: usize,

@@ -1,7 +1,5 @@
 //! Protocol configuration and the paper's two canonical parameter sets.
 
-use serde::{Deserialize, Serialize};
-
 use comap_mac::timing::PhyTiming;
 use comap_radio::pathloss::LogNormalShadowing;
 
@@ -16,7 +14,7 @@ use comap_radio::NOISE_FLOOR;
 /// A node re-broadcasts its position only after moving more than
 /// `update_threshold`, set to half of the highest position inaccuracy the
 /// protocol is expected to tolerate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobilityConfig {
     /// Movement (in meters) beyond which the position is re-reported.
     pub update_threshold: Meters,
@@ -40,7 +38,7 @@ impl Default for MobilityConfig {
 }
 
 /// Everything CO-MAP needs to turn positions into decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConfig {
     /// Transmit power assumed for every node (the paper assumes equal
     /// transmit powers in eq. 2).

@@ -30,8 +30,6 @@
 //! The backoff window is assumed constant (`τ = 2/(W+1)`), which is what
 //! CO-MAP installs when it adapts parameters.
 
-use serde::{Deserialize, Serialize};
-
 use comap_mac::time::SimDuration;
 use comap_mac::timing::PhyTiming;
 use comap_radio::rates::Rate;
@@ -40,7 +38,7 @@ use comap_radio::rates::Rate;
 /// tagged cell (the heterogeneous extension used by the adaptation
 /// table: the HTs are ordinary DCF stations that keep their own window
 /// and frame size while *we* adapt ours).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HiddenProfile {
     /// The hidden terminals' (constant-equivalent) contention window.
     pub cw: u32,
@@ -57,7 +55,7 @@ impl HiddenProfile {
 }
 
 /// Inputs of one model evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelInput {
     /// PHY timing profile (slots, SIFS/DIFS, preamble).
     pub phy: PhyTiming,
@@ -79,7 +77,7 @@ pub struct ModelInput {
 
 /// Intermediate quantities of one evaluation, exposed for validation
 /// against simulation (C-INTERMEDIATE).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotStats {
     /// Per-slot transmission probability `τ = 2/(W+1)`.
     pub tau: f64,

@@ -536,18 +536,23 @@ mod tests {
     }
 
     #[test]
-    fn pinned_envelope_accepts_the_checked_in_artifact() {
-        // The repo's own gate must hold: the checked-in BENCH artifact
-        // passes against the checked-in envelope.
+    fn pinned_envelope_accepts_a_fresh_fig_scale_profile() {
+        // The repo's own gate must hold against the code, not against a
+        // checked-in copy of its output: profile the representative
+        // fig_scale run in-process and require every deterministic
+        // delta to pass. Wall-clock bounds stay with the release-mode
+        // `bench_diff` step, since this test may run unoptimized.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let envelope_text =
             std::fs::read_to_string(format!("{root}/results/BENCH_envelope.json")).unwrap();
         let envelope = Envelope::from_json(&Json::parse(&envelope_text).unwrap()).unwrap();
-        let artifact_text =
-            std::fs::read_to_string(format!("{root}/results/BENCH_profile_fig_scale_quick.json"))
-                .unwrap();
-        let candidate = RunProfile::from_json(&Json::parse(&artifact_text).unwrap()).unwrap();
+        let (cfg, duration) = crate::instrument::representative("fig_scale");
+        let (_, candidate) = comap_sim::Simulator::new(cfg).run_profiled(duration);
         let report = diff(&envelope, &candidate);
-        assert!(report.passed(), "{}", report.summary());
+        let wall_clock =
+            |d: &Delta| d.metric == "events_per_sec" || d.metric.starts_with("ns_per_event[");
+        let deterministic: Vec<&Delta> = report.deltas.iter().filter(|d| !wall_clock(d)).collect();
+        assert!(deterministic.iter().any(|d| d.metric == "events"));
+        assert!(deterministic.iter().all(|d| d.ok), "{}", report.summary());
     }
 }

@@ -1,9 +1,9 @@
 //! Runs every experiment in sequence (pass --quick for a fast pass).
 
-use comap_experiments::report::quick_flag;
+use comap_experiments::instrument::Instrumentation;
 
 fn main() {
-    let quick = quick_flag();
+    let cli = Instrumentation::from_args("all");
     for (name, f) in [
         ("table1", run_table1 as fn(bool)),
         ("fig01", run_fig01),
@@ -14,9 +14,9 @@ fn main() {
         ("fig10", run_fig10),
     ] {
         println!("\n########## {name} ##########");
-        f(quick);
+        f(cli.quick);
     }
-    comap_experiments::instrument::run_if_requested("all");
+    cli.run_if_requested();
 }
 
 fn run_table1(_quick: bool) {

@@ -1,10 +1,12 @@
 //! Regenerates Fig. 2: HT motivation, goodput vs payload size with and
 //! without one hidden terminal.
 
-use comap_experiments::report::{mbps, quick_flag, Table};
+use comap_experiments::instrument::Instrumentation;
+use comap_experiments::report::{mbps, Table};
 
 fn main() {
-    let fig = comap_experiments::fig02::run(quick_flag());
+    let cli = Instrumentation::from_args("fig02");
+    let fig = comap_experiments::fig02::run(cli.quick);
     let mut t = Table::new(
         "Fig. 2 — goodput of C1→AP1 vs payload size",
         &[
@@ -29,5 +31,5 @@ fn main() {
         fig.best_payload_with_ht(),
         fig.best_payload_with_three_hts()
     );
-    comap_experiments::instrument::run_if_requested("fig02");
+    cli.run_if_requested();
 }

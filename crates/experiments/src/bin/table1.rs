@@ -1,6 +1,9 @@
 //! Prints Table I (parameter settings) from the canonical preset.
 
+use comap_experiments::instrument::Instrumentation;
+
 fn main() {
+    let cli = Instrumentation::from_args("table1");
     comap_experiments::table1::build().print();
-    comap_experiments::instrument::run_if_requested("table1");
+    cli.run_if_requested();
 }

@@ -1,8 +1,14 @@
-//! Shared instrumentation plumbing for the experiment binaries.
+//! Shared command line and instrumentation plumbing for the experiment
+//! binaries.
 //!
-//! Every binary accepts three optional flags on top of its own
-//! arguments:
+//! Every binary parses its arguments once, at the top of `main`, through
+//! [`Instrumentation::from_args`], and exits with status 2 on anything
+//! it does not know — a typo'd flag never silently runs full mode. The
+//! accepted flags are:
 //!
+//! * `--quick` / `-q` — fewer seeds and shorter simulations.
+//! * `--report-json=<path>` (`fig_scale` only) — run the representative
+//!   150-node campus once and write its `SimReport` JSON to `<path>`.
 //! * `--trace=<path>` — run one representative simulation of the
 //!   experiment's topology with a [`JsonlSink`] attached and write the
 //!   full event stream to `<path>` as JSON Lines.
@@ -30,9 +36,16 @@ use comap_sim::{Json, JsonlSink, LatencyHistogram, LatencySink, MetricsSink, Sim
 
 use crate::topology;
 
-/// Instrumentation requests parsed from the command line.
+/// Command line of an experiment binary: the run mode plus the
+/// instrumentation requests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Instrumentation {
+    /// The experiment whose representative run the flags instrument.
+    experiment: &'static str,
+    /// Run the fast pass (`--quick` / `-q`).
+    pub quick: bool,
+    /// Write the representative run's report here (`fig_scale` only).
+    pub report_json: Option<PathBuf>,
     /// Write the event stream of the representative run here as JSONL.
     pub trace: Option<PathBuf>,
     /// Print the metrics summary of the representative run.
@@ -45,10 +58,11 @@ pub struct Instrumentation {
 }
 
 impl Instrumentation {
-    /// Parses the process arguments, exiting with a message on a
-    /// malformed flag (a path-taking flag with no value).
-    pub fn from_args() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
+    /// Parses the process arguments of `experiment`'s binary, exiting
+    /// with status 2 and a message on an unknown argument or a
+    /// path-taking flag with no value.
+    pub fn from_args(experiment: &'static str) -> Self {
+        match Self::parse(experiment, std::env::args().skip(1)) {
             Ok(inst) => inst,
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -57,7 +71,7 @@ impl Instrumentation {
         }
     }
 
-    /// `true` when any instrumentation flag was given.
+    /// `true` when any flag requesting the instrumented run was given.
     pub fn any(&self) -> bool {
         self.trace.is_some()
             || self.metrics
@@ -65,37 +79,56 @@ impl Instrumentation {
             || self.latency_json.is_some()
     }
 
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut inst = Instrumentation::default();
+    fn parse(experiment: &'static str, args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut inst = Instrumentation {
+            experiment,
+            ..Instrumentation::default()
+        };
         let args: Vec<String> = args.collect();
         let mut i = 0;
         while i < args.len() {
-            let arg = &args[i];
+            let arg = args[i].as_str();
             i += 1;
-            if let Some(v) = arg.strip_prefix("--trace=") {
-                inst.trace = Some(PathBuf::from(v));
-            } else if arg == "--trace" {
-                let v = args.get(i).ok_or("--trace requires a path")?;
-                i += 1;
-                inst.trace = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--profile-json=") {
-                inst.profile_json = Some(PathBuf::from(v));
-            } else if arg == "--profile-json" {
-                let v = args.get(i).ok_or("--profile-json requires a path")?;
-                i += 1;
-                inst.profile_json = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--latency-json=") {
-                inst.latency_json = Some(PathBuf::from(v));
-            } else if arg == "--latency-json" {
-                let v = args.get(i).ok_or("--latency-json requires a path")?;
-                i += 1;
-                inst.latency_json = Some(PathBuf::from(v));
-            } else if arg == "--metrics" {
-                inst.metrics = true;
-            }
-            // Anything else belongs to the experiment (e.g. --quick).
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) => (flag, Some(v)),
+                None => (arg, None),
+            };
+            let slot = match flag {
+                "--quick" | "-q" if inline.is_none() => {
+                    inst.quick = true;
+                    continue;
+                }
+                "--metrics" if inline.is_none() => {
+                    inst.metrics = true;
+                    continue;
+                }
+                "--trace" => &mut inst.trace,
+                "--profile-json" => &mut inst.profile_json,
+                "--latency-json" => &mut inst.latency_json,
+                "--report-json" if experiment == "fig_scale" => &mut inst.report_json,
+                _ => return Err(format!("unknown argument `{arg}`")),
+            };
+            let value = match inline {
+                Some(v) => v,
+                None => {
+                    i += 1;
+                    args.get(i - 1).ok_or(format!("{flag} requires a path"))?
+                }
+            };
+            *slot = Some(PathBuf::from(value));
         }
         Ok(inst)
+    }
+
+    /// When any instrumentation flag is present, runs one instrumented
+    /// representative simulation of the experiment — call it after the
+    /// figure's own output.
+    pub fn run_if_requested(&self) {
+        if !self.any() {
+            return;
+        }
+        let (cfg, duration) = representative(self.experiment);
+        self.run(self.experiment, cfg, duration);
     }
 
     /// Runs one instrumented simulation of `cfg` for `duration`,
@@ -223,24 +256,16 @@ pub fn representative(name: &str) -> (SimConfig, SimDuration) {
     (cfg, duration)
 }
 
-/// One-liner for experiment binaries: parses the instrumentation flags
-/// and, when any is present, runs one instrumented representative
-/// simulation of the named experiment after the figure's own output.
-pub fn run_if_requested(name: &str) {
-    let inst = Instrumentation::from_args();
-    if !inst.any() {
-        return;
-    }
-    let (cfg, duration) = representative(name);
-    inst.run(name, cfg, duration);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn try_parse(experiment: &'static str, args: &[&str]) -> Result<Instrumentation, String> {
+        Instrumentation::parse(experiment, args.iter().map(|s| s.to_string()))
+    }
+
     fn parse(args: &[&str]) -> Instrumentation {
-        Instrumentation::parse(args.iter().map(|s| s.to_string())).expect("valid args")
+        try_parse("fig02", args).expect("valid args")
     }
 
     #[test]
@@ -260,10 +285,27 @@ mod tests {
     }
 
     #[test]
-    fn ignores_experiment_args() {
-        let inst = parse(&["--quick", "-q", "somefile"]);
-        assert_eq!(inst, Instrumentation::default());
-        assert!(!inst.any());
+    fn accepts_quick_and_rejects_unknown_args() {
+        for quick in ["--quick", "-q"] {
+            let inst = parse(&[quick]);
+            assert!(inst.quick);
+            assert!(!inst.any());
+        }
+        for bad in ["--quik", "somefile"] {
+            let err = try_parse("fig02", &[bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn report_json_is_a_fig_scale_flag() {
+        for args in [&["--report-json=r.json"][..], &["--report-json", "r.json"]] {
+            let inst = try_parse("fig_scale", args).unwrap();
+            assert_eq!(inst.report_json, Some(PathBuf::from("r.json")));
+            assert!(!inst.any());
+        }
+        assert!(try_parse("fig_scale", &["--report-json"]).is_err());
+        assert!(try_parse("fig02", &["--report-json=r.json"]).is_err());
     }
 
     #[test]
@@ -274,8 +316,7 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let err = Instrumentation::parse(["--profile-json".to_string()].into_iter());
-        assert!(err.is_err());
+        assert!(try_parse("fig02", &["--profile-json"]).is_err());
     }
 
     #[test]

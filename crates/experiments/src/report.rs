@@ -117,12 +117,6 @@ pub fn gain_pct(new: f64, base: f64) -> String {
     format!("{:+.1}%", (new / base - 1.0) * 100.0)
 }
 
-/// Reads a `--quick` flag and figure-specific args from the process
-/// arguments; every experiment binary shares this convention.
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick" || a == "-q")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

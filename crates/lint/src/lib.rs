@@ -18,7 +18,6 @@
 //! | `panic-policy` | all library code | library crates must not abort mid-run: no `.unwrap()`, `.expect(..)`, `panic!`, `todo!` outside `#[cfg(test)]`, tests, benches and binaries (`assert!` and `debug_assert!` remain legal — they state invariants) |
 //! | `event-completeness` | `comap-sim` | every `SimEvent` variant must have ≥ 1 emission (construction) site in the simulator, so the observability schema never silently rots |
 //! | `float-eq` | all library code | `==`/`!=` against float literals is almost always a latent bug in Bianchi-derived math; exact comparisons must be justified |
-//! | `backend-exhaustive` | `comap-sim`, `comap-experiments` | the culled and exhaustive medium backends are contractually bit-identical (PR 5); every `match` on a `MediumBackend` must name each backend, so adding one forces a reviewed decision at every dispatch site instead of falling into a `_` arm |
 //! | `shard-safety` | `comap-sim`, `comap-mac`, `comap-core`, `comap-radio` | the sharded parallel engine (ROADMAP item 1) requires `Send` state by construction: no `Rc`, `RefCell`, `Cell`, `UnsafeCell`, `static mut`, `thread_local!`, or raw-pointer struct fields |
 //! | `rng-discipline` | `comap-sim`, `comap-mac`, `comap-core` | region shards cannot share a sequential RNG stream without changing results: hot-path `StdRng` draws (outside constructors and tests) must migrate to the counter-based keyed streams of PR 7; pre-existing sites are a shrinking allowlist gated by `--max-allows` |
 //! | `match-exhaustive` | `comap-sim`, `comap-experiments` | observers and dispatchers must decide when the event taxonomy grows: no `_` wildcard arm in a `match` whose arms dispatch on `SimEvent` variants |

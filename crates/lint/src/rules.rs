@@ -28,10 +28,6 @@ pub enum Rule {
     EventCompleteness,
     /// No `==`/`!=` against floating-point literals.
     FloatEq,
-    /// Matches dispatching on a `MediumBackend` must name every
-    /// backend — no wildcard arms, so adding a backend forces a
-    /// decision at each dispatch site.
-    BackendExhaustive,
     /// No shared-mutable / non-`Send` state (`Rc`, `RefCell`, `Cell`,
     /// `static mut`, `thread_local!`, raw-pointer fields) in the crates
     /// the sharded engine will run in parallel.
@@ -62,7 +58,6 @@ impl Rule {
             Rule::PanicPolicy => "panic-policy",
             Rule::EventCompleteness => "event-completeness",
             Rule::FloatEq => "float-eq",
-            Rule::BackendExhaustive => "backend-exhaustive",
             Rule::ShardSafety => "shard-safety",
             Rule::RngDiscipline => "rng-discipline",
             Rule::MatchExhaustive => "match-exhaustive",
@@ -79,7 +74,6 @@ impl Rule {
             "panic-policy" => Rule::PanicPolicy,
             "event-completeness" => Rule::EventCompleteness,
             "float-eq" => Rule::FloatEq,
-            "backend-exhaustive" => Rule::BackendExhaustive,
             "shard-safety" => Rule::ShardSafety,
             "rng-discipline" => Rule::RngDiscipline,
             "match-exhaustive" => Rule::MatchExhaustive,
@@ -90,13 +84,12 @@ impl Rule {
     }
 
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 10] = [
         Rule::UnitHygiene,
         Rule::Determinism,
         Rule::PanicPolicy,
         Rule::EventCompleteness,
         Rule::FloatEq,
-        Rule::BackendExhaustive,
         Rule::ShardSafety,
         Rule::RngDiscipline,
         Rule::MatchExhaustive,
@@ -175,13 +168,10 @@ const SHARD_SAFETY_CRATES: [&str; 4] = ["sim", "mac", "core", "radio"];
 const RNG_DISCIPLINE_CRATES: [&str; 3] = ["sim", "mac", "core"];
 /// The crate holding the `SimEvent` enum and its emission sites.
 const EVENT_CRATE: &str = "sim";
-/// Crates whose `MediumBackend`/`SimEvent` dispatches must stay
-/// exhaustive.
-const BACKEND_CRATES: [&str; 2] = ["sim", "experiments"];
+/// Crates whose `SimEvent` dispatches must stay exhaustive.
+const MATCH_CRATES: [&str; 2] = ["sim", "experiments"];
 /// The enum whose variants event-completeness audits.
 const EVENT_ENUM: &str = "SimEvent";
-/// The backend enum whose dispatches backend-exhaustive audits.
-const BACKEND_ENUM: &str = "MediumBackend";
 /// The sequential RNG type rng-discipline tracks.
 const SEQ_RNG: &str = "StdRng";
 /// Method names that consume a sequential RNG stream.
@@ -240,8 +230,7 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
         if UNIT_HYGIENE_CRATES.contains(&file.crate_name.as_str()) {
             check_unit_hygiene(file, lexed, &model, &mut raw);
         }
-        if BACKEND_CRATES.contains(&file.crate_name.as_str()) {
-            check_backend_exhaustive(file, lexed, &model, &mut raw);
+        if MATCH_CRATES.contains(&file.crate_name.as_str()) {
             check_match_exhaustive(file, lexed, &model, &mut raw);
         }
         if SHARD_SAFETY_CRATES.contains(&file.crate_name.as_str()) {
@@ -469,53 +458,6 @@ fn check_unit_hygiene(file: &SourceFile, lexed: &Lexed, model: &FileModel, out: 
             }
         }
     }
-}
-
-/// backend-exhaustive: a `match` dispatching on the medium backend —
-/// its scrutinee names a `*backend*` binding, or any arm pattern names
-/// a `MediumBackend::` variant — must not use a wildcard arm. The two
-/// backends are contractually bit-identical, so every dispatch site is
-/// a place where a future backend needs an explicit decision.
-fn check_backend_exhaustive(
-    file: &SourceFile,
-    lexed: &Lexed,
-    model: &FileModel,
-    out: &mut Vec<Finding>,
-) {
-    for m in &model.matches {
-        if lexed.in_test[m.kw_idx] {
-            continue;
-        }
-        let scrutinee_named = range_has_backend_ident(model, m.scrutinee);
-        let arm_evidence = m
-            .arms
-            .iter()
-            .any(|a| model.range_mentions_path(a.pat, BACKEND_ENUM));
-        if !scrutinee_named && !arm_evidence {
-            continue;
-        }
-        for arm in &m.arms {
-            if model.arm_is_wildcard(arm) {
-                push(
-                    file,
-                    Rule::BackendExhaustive,
-                    arm.line,
-                    "wildcard arm in a `MediumBackend` dispatch — name every backend \
-                     so adding one forces a decision here, or justify with \
-                     `simlint: allow(backend-exhaustive)`"
-                        .to_string(),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-fn range_has_backend_ident(model: &FileModel, range: Range) -> bool {
-    let end = range.1.min(model.tokens.len());
-    model.tokens[range.0..end]
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && t.text.to_ascii_lowercase().contains("backend"))
 }
 
 /// match-exhaustive: a `match` whose arms dispatch on `SimEvent`
@@ -973,33 +915,6 @@ mod tests {
             .map(|f| f.message.split('`').nth(1).unwrap_or(""))
             .collect();
         assert_eq!(names, vec!["SimEvent::Orphan", "SimEvent::BareOrphan"]);
-    }
-
-    #[test]
-    fn backend_exhaustive_flags_wildcards_in_scope_only() {
-        let src = "fn f(backend: MediumBackend) -> u32 {\n\
-                   \x20   match backend {\n\
-                   \x20       MediumBackend::Culled => 1,\n\
-                   \x20       _ => 0,\n\
-                   \x20   }\n\
-                   }\n\
-                   fn g(n: u32) -> u32 { match n { 0 => 1, _ => 0 } }\n";
-        let flagged = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
-        assert_eq!(rules_of(&flagged), vec![(Rule::BackendExhaustive, 4)]);
-        let unflagged = lint_files(&[file("core", "crates/core/src/x.rs", src)]);
-        assert!(unflagged.findings.is_empty());
-    }
-
-    #[test]
-    fn backend_exhaustive_uses_arm_evidence_without_scrutinee_name() {
-        let src = "fn f(m: &M) -> u32 {\n\
-                   \x20   match m.pick() {\n\
-                   \x20       MediumBackend::Culled => 1,\n\
-                   \x20       _ => 0,\n\
-                   \x20   }\n\
-                   }\n";
-        let out = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
-        assert_eq!(rules_of(&out), vec![(Rule::BackendExhaustive, 4)]);
     }
 
     #[test]

@@ -234,8 +234,6 @@ pub struct Arm {
 pub struct MatchExpr {
     /// Token index of the `match` keyword.
     pub kw_idx: usize,
-    /// Token range of the scrutinee (between `match` and the body).
-    pub scrutinee: Range,
     /// Parsed arms, in order.
     pub arms: Vec<Arm>,
 }
@@ -918,7 +916,7 @@ fn parse_enum(
     )
 }
 
-/// Collects every `match` expression: scrutinee range plus parsed arms.
+/// Collects every `match` expression with its parsed arms.
 fn parse_matches(tokens: &[Token], partner: &[usize]) -> Vec<MatchExpr> {
     let mut out = Vec::new();
     for kw in 0..tokens.len() {
@@ -945,7 +943,6 @@ fn parse_matches(tokens: &[Token], partner: &[usize]) -> Vec<MatchExpr> {
         let close = partner[open];
         out.push(MatchExpr {
             kw_idx: kw,
-            scrutinee: (kw + 1, open),
             arms: parse_arms(tokens, partner, open + 1, close),
         });
     }

@@ -165,46 +165,6 @@ fn event_completeness_fixture_is_fully_detected() {
 }
 
 #[test]
-fn backend_exhaustive_fixture_is_fully_detected() {
-    let text = include_str!("../fixtures/backend_exhaustive.rs");
-    let files = [fixture("sim", "crates/sim/src/backend_exhaustive.rs", text)];
-    let expected = vec![
-        line_of(text, "_ => false,"),
-        line_of(text, "MediumBackend::Exhaustive | _ => 1,"),
-        line_of(text, "_ if quick => 1,"),
-    ];
-    assert_eq!(lines_for(&files, Rule::BackendExhaustive), expected);
-    assert_eq!(
-        lint_files(&files).suppressed,
-        1,
-        "justified() is suppressed"
-    );
-    assert!(findings(&files)
-        .iter()
-        .all(|(r, _)| *r == Rule::BackendExhaustive));
-    // The experiments crate is also in scope...
-    assert_eq!(
-        lines_for(
-            &[fixture(
-                "experiments",
-                "crates/experiments/src/backend_exhaustive.rs",
-                text
-            )],
-            Rule::BackendExhaustive
-        )
-        .len(),
-        3
-    );
-    // ...but the physics crates, which never see a backend, are not.
-    assert!(findings(&[fixture(
-        "radio",
-        "crates/radio/src/backend_exhaustive.rs",
-        text
-    )])
-    .is_empty());
-}
-
-#[test]
 fn shard_safety_fixture_is_fully_detected() {
     let text = include_str!("../fixtures/shard_safety.rs");
     let files = [fixture("sim", "crates/sim/src/shard_safety.rs", text)];

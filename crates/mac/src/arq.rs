@@ -15,8 +15,6 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A link-layer sequence number.
 pub type Seq = u64;
 
@@ -36,7 +34,7 @@ impl std::error::Error for UnknownSeq {}
 
 /// A selective-repeat acknowledgment: everything below `base` has been
 /// received, plus the frames flagged in `bitmap` (bit `i` ⇔ `base + i`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Ack {
     /// Lowest sequence number **not** yet received in order.
     pub base: Seq,
@@ -56,7 +54,7 @@ impl Ack {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SendEntry {
     seq: Seq,
     payload_bytes: u32,
@@ -81,7 +79,7 @@ struct SendEntry {
 /// // Only s0 still needs (re)sending.
 /// assert_eq!(tx.next_to_send(), Some(s0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelectiveRepeatSender {
     window_size: usize,
     window: VecDeque<SendEntry>,
@@ -231,7 +229,7 @@ impl SelectiveRepeatSender {
 
 /// Receiver-side selective-repeat window: tracks which sequence numbers
 /// arrived and builds cumulative-plus-bitmap ACKs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SelectiveRepeatReceiver {
     next_expected: Seq,
     out_of_order: BTreeSet<Seq>,

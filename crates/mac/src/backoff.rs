@@ -12,10 +12,9 @@
 //!   CO-MAP's adaptation table installs per hidden-terminal count.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the contention window evolves across retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackoffPolicy {
     /// Binary exponential backoff between `cw_min` and `cw_max`
     /// (inclusive window bounds, conventionally `2^k − 1`).
@@ -66,7 +65,7 @@ impl BackoffPolicy {
 /// b.consume(3);
 /// assert_eq!(b.slots_remaining(), start.saturating_sub(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     slots: u32,
 }

@@ -7,8 +7,6 @@
 //! carrying the source and destination addresses plus its own FCS, so
 //! neighbors learn about an ongoing transmission before the payload starts.
 
-use serde::{Deserialize, Serialize};
-
 /// MAC header (24 B) + FCS (4 B) wrapped around every data payload.
 pub const DATA_HEADER_BYTES: u32 = 28;
 
@@ -27,7 +25,7 @@ pub const RTS_BYTES: u32 = 20;
 pub const CTS_BYTES: u32 = 14;
 
 /// The role of a frame on the air.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// CO-MAP's discovery header announcing an imminent data frame.
     DiscoveryHeader,

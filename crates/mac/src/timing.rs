@@ -11,14 +11,12 @@
 //!
 //! `DIFS = SIFS + 2 × slot` in both cases.
 
-use serde::{Deserialize, Serialize};
-
 use comap_radio::rates::{PhyStandard, Rate};
 
 use crate::time::SimDuration;
 
 /// Interframe spacing and preamble profile of a PHY.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhyTiming {
     standard: PhyStandard,
     slot: SimDuration,

@@ -7,7 +7,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::units::Meters;
 
@@ -19,7 +18,7 @@ use crate::units::Meters;
 /// let b = Position::new(3.0, 4.0);
 /// assert_eq!(a.distance_to(b).value(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate in meters.
     pub x: f64,

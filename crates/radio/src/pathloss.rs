@@ -12,7 +12,6 @@
 //! standard deviation `σ` capturing shadowing by environmental artifacts.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::units::{Db, Dbm, Meters};
 
@@ -21,7 +20,7 @@ use crate::units::{Db, Dbm, Meters};
 /// Used to derive the reference power `P(d₀)` when no field measurement is
 /// available, exactly as the paper suggests ("calculated using the free
 /// space Friis equation").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreeSpace {
     /// Carrier frequency in Hz.
     frequency_hz: f64,
@@ -81,7 +80,7 @@ impl FreeSpace {
 /// let far = chan.mean_power(Meters::new(50.0));
 /// assert!(near > far);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalShadowing {
     p_d0: Dbm,
     d0: Meters,

@@ -21,8 +21,6 @@
 //! Pr{P_r < T_cs} = Φ( (T_cs − P_d₀ + 10 α log₁₀(r/d₀)) / σ )
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::math::std_normal_cdf;
 use crate::pathloss::LogNormalShadowing;
 use crate::units::{Db, Dbm, Meters};
@@ -42,7 +40,7 @@ use crate::units::{Db, Dbm, Meters};
 /// // …while a remote one is harmless.
 /// assert!(model.prr(Meters::new(3.0), Meters::new(200.0)) > 0.99);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReceptionModel {
     channel: LogNormalShadowing,
     t_sir: Db,

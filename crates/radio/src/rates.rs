@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Db;
 
 /// The PHY family a rate belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhyStandard {
     /// DSSS / HR-DSSS (802.11b): 1–11 Mbps.
     Dsss,
@@ -22,7 +20,7 @@ pub enum PhyStandard {
 }
 
 /// An 802.11 b/g bit rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum Rate {
     Mbps1,

@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute radio power level in decibel-milliwatts.
 ///
 /// ```rust
@@ -19,21 +17,21 @@ use serde::{Deserialize, Serialize};
 /// let loss = Db::new(60.0);
 /// assert_eq!(tx - loss, Dbm::new(-40.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Dbm(f64);
 
 /// A relative power ratio (gain or loss) in decibels.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Db(f64);
 
 /// A linear power in milliwatts; used when summing interference from
 /// several concurrent transmitters, which is only meaningful in the linear
 /// domain.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MilliWatts(f64);
 
 /// A planar distance in meters.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Meters(f64);
 
 impl Dbm {

@@ -196,9 +196,11 @@ pub struct SimConfig {
     /// instead of a separate header packet, costing 4 bytes instead of
     /// a whole frame. Used by the NS-2-style large-scale experiments.
     pub inband_header: bool,
-    /// How the medium enumerates receivers. Both backends are
-    /// bit-identical (the differential harness pins it); `Culled` is
-    /// only faster, so it is the default.
+    /// How many receivers the medium's sweep enumerates: `Exhaustive`
+    /// puts every node in one grid cell, `Culled` sizes cells by the
+    /// relevance range. Both backends are bit-identical (the
+    /// differential harness pins it); `Culled` is only faster, so it is
+    /// the default.
     pub backend: MediumBackend,
     /// Grid resolution the physics snap *true* positions onto: moves
     /// that stay inside one quantum cell coalesce into no-ops instead of

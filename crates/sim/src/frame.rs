@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use comap_mac::arq::Ack;
 use comap_mac::frames::FrameKind;
 use comap_mac::time::SimDuration;
@@ -11,7 +9,7 @@ use comap_radio::rates::Rate;
 
 /// Index of a node within a simulation (dense, assigned by
 /// [`crate::SimConfig::add_node`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {

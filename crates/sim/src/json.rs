@@ -1,12 +1,12 @@
 //! Minimal JSON tree, writer and parser.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (see
-//! `vendor/serde`), so the observability layer's machine-readable exports
-//! — JSONL event streams, [`crate::stats::SimReport`] dumps and
-//! [`crate::profile::RunProfile`] artifacts — serialize through this
-//! hand-rolled module instead. It supports exactly the JSON subset those
-//! schemas need: objects with ordered keys, arrays, strings, booleans,
-//! `null`, exact unsigned integers and finite floats. The parser exists
+//! The workspace has no serialization dependency, so the observability
+//! layer's machine-readable exports — JSONL event streams,
+//! [`crate::stats::SimReport`] dumps and [`crate::profile::RunProfile`]
+//! artifacts — serialize through this hand-rolled module. It supports
+//! exactly the JSON subset those schemas need: objects with ordered
+//! keys, arrays, strings, booleans, `null`, exact unsigned integers and
+//! finite floats. The parser exists
 //! so round-trip tests and CI smoke checks can read the artifacts back
 //! without any external dependency.
 

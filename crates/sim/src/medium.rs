@@ -36,22 +36,25 @@
 //! floor* ([`RELEVANCE_MARGIN_DB`] decibels under the thermal noise
 //! floor) contributes **exactly zero** to every receiver-side quantity:
 //! no fading draw, no ledger grains, no [`PhyNote::Sense`]. That rule is
-//! part of the propagation model itself — both backends apply it to the
-//! same cached means — which is what makes the two backends bit-identical
-//! by construction:
+//! part of the propagation model itself, which is what lets the medium
+//! skip far receivers without changing a single result.
 //!
-//! * [`MediumBackend::Exhaustive`] scans every node per transmission and
-//!   keeps the dense per-node power vector (the reference algorithm).
-//! * [`MediumBackend::Culled`] enumerates only the nodes in the 3 × 3
-//!   grid-cell neighbourhood of the sender (cell side = the channel's
-//!   relevance range) plus a per-node *overflow list* of links whose
-//!   static shadowing draw keeps them relevant beyond that range, and
-//!   stores powers sparsely.
+//! Every transmission runs one sweep: it enumerates the nodes in the
+//! 3 × 3 grid-cell neighbourhood of the sender plus a per-node *overflow
+//! list* of links whose static shadowing draw keeps them relevant beyond
+//! the relevance range, filters them by the relevance predicate in
+//! ascending node order, and stores the powers sparsely. The two
+//! [`MediumBackend`]s differ only in the grid they build:
 //!
-//! Both enumerations filter by the same relevance predicate in the same
-//! ascending node order, so they consume identical RNG streams and move
-//! identical grains. See DESIGN.md §7 for the derivation of the radius
-//! and the exactness argument.
+//! * [`MediumBackend::Culled`] uses the channel's relevance range as the
+//!   cell side, so the sweep visits a few cells.
+//! * [`MediumBackend::Exhaustive`] uses an infinite cell side, so one
+//!   cell holds every node and the sweep visits all of them (the
+//!   reference the differential harness compares against).
+//!
+//! Both sweeps see every relevant receiver, so they draw identical fades
+//! and move identical grains. See DESIGN.md §7 for the derivation of
+//! the radius and the exactness argument.
 //!
 //! # The mobility hot path
 //!
@@ -118,19 +121,21 @@ pub enum PhyNote {
     },
 }
 
-/// How the medium enumerates the receivers of a transmission.
+/// How many receivers the medium's sweep enumerates per transmission.
+/// Read once, at construction, to size the grid cells; both backends
+/// then run the same sweep.
 ///
 /// Both backends produce bit-identical results (same reports, same event
-/// streams, same RNG consumption) — the culled backend is only allowed
-/// to be *faster*. The differential harness in
+/// streams, same draws) — the culled backend is only allowed to be
+/// *faster*. The differential harness in
 /// `crates/sim/tests/differential.rs` pins that equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediumBackend {
-    /// Dense reference algorithm: every transmission visits all `n`
-    /// nodes and carries an `n`-entry power vector.
+    /// Reference enumeration: the grid is one cell holding every node,
+    /// so every transmission visits all `n` nodes.
     Exhaustive,
-    /// Spatial culling: only grid-neighbour nodes (plus the overflow
-    /// list) are visited, and powers are stored sparsely.
+    /// Spatial culling: cells one relevance range wide, so only
+    /// grid-neighbour nodes (plus the overflow list) are visited.
     Culled,
 }
 
@@ -178,31 +183,17 @@ struct PhyState {
     lock: Option<RxLock>,
 }
 
-/// Per-receiver powers of one active transmission. Dense under the
-/// exhaustive backend (own and culled entries zero), sparse under the
-/// culled backend (relevant receivers only, ascending by node). Both
-/// describe the same function `node → grains`, so begin/end move
-/// identical grains either way.
-#[derive(Debug, Clone)]
-enum PowerMap {
-    /// Received power of this transmission at every node (own entry 0),
-    /// pre-quantized so begin/end move identical grains.
-    Dense(Vec<QuantizedPower>),
-    /// `(node, power)` of every relevant receiver, ascending by node.
-    Sparse(Vec<(u32, QuantizedPower)>),
-}
+/// Per-receiver powers of one active transmission: `(node, power)` of
+/// every relevant receiver, ascending by node, pre-quantized so begin
+/// and end move identical grains.
+type PowerMap = Vec<(u32, QuantizedPower)>;
 
-impl PowerMap {
-    /// Power delivered to `node` (zero when culled or the sender).
-    fn at(&self, node: usize) -> QuantizedPower {
-        match self {
-            PowerMap::Dense(v) => v[node],
-            PowerMap::Sparse(v) => v
-                .binary_search_by_key(&(node as u32), |&(n, _)| n)
-                .map(|i| v[i].1)
-                .unwrap_or(QuantizedPower::ZERO),
-        }
-    }
+/// Power `powers` delivers to `node` (zero when culled or the sender).
+fn power_at(powers: &[(u32, QuantizedPower)], node: usize) -> QuantizedPower {
+    powers
+        .binary_search_by_key(&(node as u32), |&(n, _)| n)
+        .map(|i| powers[i].1)
+        .unwrap_or(QuantizedPower::ZERO)
 }
 
 #[derive(Debug, Clone)]
@@ -315,9 +306,9 @@ pub struct MediumCounters {
 }
 
 /// Uniform grid over node positions. Cell sides are at least the
-/// relevance range, so any pair of nodes within that range lands in the
-/// same or adjacent cells: the cell coordinate map is a composition of a
-/// 1-Lipschitz clamp and a floor-divide by the cell side, which cannot
+/// requested side, so any pair of nodes within that distance lands in
+/// the same or adjacent cells: the cell coordinate map is a composition
+/// of a 1-Lipschitz clamp and a floor-divide by the cell side, which cannot
 /// separate two coordinates closer than one cell side by more than one
 /// cell. Out-of-bounds positions clamp onto the border cells — that only
 /// ever over-includes candidates.
@@ -325,8 +316,8 @@ pub struct MediumCounters {
 struct Grid {
     min_x: f64,
     min_y: f64,
-    /// Cell sides in meters (≥ the relevance range whenever the axis has
-    /// more than one cell).
+    /// Cell sides in meters (≥ the requested side whenever the axis has
+    /// more than one cell; infinite when the requested side is).
     cell_w: f64,
     cell_h: f64,
     nx: usize,
@@ -338,8 +329,10 @@ struct Grid {
 }
 
 impl Grid {
-    fn new(positions: &[Position], range: Meters) -> Self {
-        let r = range.value().max(1.0);
+    /// Builds the grid with cells at least `side` wide. An infinite
+    /// side gives one cell holding every node.
+    fn new(positions: &[Position], side: Meters) -> Self {
+        let r = side.value().max(1.0);
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
         let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         for p in positions {
@@ -420,7 +413,6 @@ pub struct Medium {
     /// Node positions, snapped onto the position quantum.
     positions: Vec<Position>,
     capture: bool,
-    backend: MediumBackend,
     /// Emit [`PhyNote::Announce`] when a node locks onto a data frame
     /// (the paper\'s in-band header implementation, Section V method 1).
     inband_announce: bool,
@@ -470,7 +462,7 @@ pub struct Medium {
     /// Mean power below which a link is treated as exactly zero.
     relevance_floor: Dbm,
     /// Distance at which the channel's *mean* power reaches the floor —
-    /// the grid cell side. Links pushed past it by a favourable static
+    /// the culled backend's grid cell side. Links pushed past it by a favourable static
     /// draw live in the overflow lists instead.
     relevance_range: Meters,
     /// Hard overflow-scan radius in meters: beyond it even a +6σ slow
@@ -594,12 +586,15 @@ impl Medium {
                 qy.push(iy);
             }
         }
-        let grid = Grid::new(&positions, relevance_range);
+        let cell_side = match backend {
+            MediumBackend::Exhaustive => Meters::new(f64::INFINITY),
+            MediumBackend::Culled => relevance_range,
+        };
+        let grid = Grid::new(&positions, cell_side);
         let mut medium = Medium {
             channel,
             positions,
             capture,
-            backend,
             inband_announce: false,
             states,
             slots: Vec::new(),
@@ -688,11 +683,6 @@ impl Medium {
         self.ledger_check_nanos
     }
 
-    /// The backend in force.
-    pub fn backend(&self) -> MediumBackend {
-        self.backend
-    }
-
     /// Deterministic link-cache and culling counters. Backend-dependent
     /// by design; never part of a report.
     pub fn counters(&self) -> MediumCounters {
@@ -705,7 +695,7 @@ impl Medium {
     }
 
     /// Distance at which the channel's mean power reaches the relevance
-    /// floor — the grid cell side.
+    /// floor — the culled backend's grid cell side.
     pub fn relevance_range(&self) -> Meters {
         self.relevance_range
     }
@@ -974,7 +964,7 @@ impl Medium {
             .iter()
             .flatten()
             .filter(|a| a.frame.src.0 != node)
-            .map(|a| a.powers.at(node))
+            .map(|a| power_at(&a.powers, node))
             .sum()
     }
 
@@ -1037,101 +1027,56 @@ impl Medium {
             .unwrap_or_else(|| panic!("transmission {tx:?} not on the air"))
     }
 
-    /// Draws the per-receiver powers of a transmission from `src` under
-    /// the backend in force, keyed by the frame counter. Both arms run
-    /// the same two-phase shape: freshen the row, then one branch-light
-    /// batched sweep over the SoA link arrays. Every fade is a pure
-    /// function of `(fade_seed, src → rx, frame_ctr)`, so the sweep
-    /// order — and the backend — cannot change a single value.
+    /// Draws the per-receiver powers of a transmission from `src`, keyed
+    /// by the frame counter, in two phases: gather and freshen the
+    /// candidate row, then one branch-light batched sweep over the SoA
+    /// link arrays. Every fade is a pure function of
+    /// `(fade_seed, src → rx, frame_ctr)`, so neither the sweep order nor
+    /// the grid can change a single value.
     fn draw_powers(&mut self, src: usize, frame_ctr: u64) -> PowerMap {
         let n = self.positions.len();
         let sigma = self.fast_sigma.value();
-        match self.backend {
-            MediumBackend::Exhaustive => {
-                self.counters.cull_candidates += (n - 1) as u64;
-                for j in 0..n {
-                    if j != src {
-                        self.ensure_fresh(src, j);
-                    }
+        let mut targets = std::mem::take(&mut self.scratch);
+        targets.clear();
+        self.grid.gather_neighbors(src, &mut targets);
+        targets.extend_from_slice(&self.overflow[src]);
+        targets.sort_unstable();
+        targets.dedup();
+        targets.retain(|&j| j as usize != src);
+        self.counters.cull_candidates += targets.len() as u64;
+        for &j in &targets {
+            self.ensure_fresh(src, j as usize);
+        }
+        let mut v = Vec::with_capacity(targets.len());
+        if sigma <= 0.0 {
+            // A fading deviation is non-negative; zero disables fast
+            // fading and the cache holds the exact power.
+            for &j in &targets {
+                let idx = src * n + j as usize;
+                if self.link_relevant[idx] {
+                    v.push((j, self.link_quant[idx]));
                 }
-                // Batched sweep. The diagonal entry is never filled, so
-                // `link_relevant[src*n+src]` is false and the sweep
-                // needs no self-exclusion branch.
-                let mut v = vec![QuantizedPower::ZERO; n];
-                let mut relevant = 0u64;
-                if sigma <= 0.0 {
-                    // A fading deviation is non-negative; zero disables
-                    // fast fading and the cache holds the exact power.
-                    for (j, slot) in v.iter_mut().enumerate() {
-                        let idx = src * n + j;
-                        if self.link_relevant[idx] {
-                            relevant += 1;
-                            *slot = self.link_quant[idx];
-                        }
-                    }
-                } else {
-                    for (j, slot) in v.iter_mut().enumerate() {
-                        let idx = src * n + j;
-                        if self.link_relevant[idx] {
-                            relevant += 1;
-                            let h = keyed_state(
-                                self.fade_seed,
-                                link_key(src as u32, j as u32),
-                                frame_ctr,
-                            );
-                            let fast = Db::new(sigma * normal_from_state(h));
-                            *slot = QuantizedPower::from_milliwatts(
-                                (Dbm::new(self.link_dbm[idx]) + fast).to_milliwatts(),
-                            );
-                        }
-                    }
-                }
-                self.counters.cull_relevant += relevant;
-                self.counters.cache_lookups += relevant;
-                PowerMap::Dense(v)
             }
-            MediumBackend::Culled => {
-                let mut targets = std::mem::take(&mut self.scratch);
-                targets.clear();
-                self.grid.gather_neighbors(src, &mut targets);
-                targets.extend_from_slice(&self.overflow[src]);
-                targets.sort_unstable();
-                targets.dedup();
-                targets.retain(|&j| j as usize != src);
-                self.counters.cull_candidates += targets.len() as u64;
-                for &j in &targets {
-                    self.ensure_fresh(src, j as usize);
+        } else {
+            for &j in &targets {
+                let idx = src * n + j as usize;
+                if self.link_relevant[idx] {
+                    let h = keyed_state(self.fade_seed, link_key(src as u32, j), frame_ctr);
+                    let fast = Db::new(sigma * normal_from_state(h));
+                    v.push((
+                        j,
+                        QuantizedPower::from_milliwatts(
+                            (Dbm::new(self.link_dbm[idx]) + fast).to_milliwatts(),
+                        ),
+                    ));
                 }
-                let mut v = Vec::with_capacity(targets.len());
-                if sigma <= 0.0 {
-                    for &j in &targets {
-                        let idx = src * n + j as usize;
-                        if self.link_relevant[idx] {
-                            v.push((j, self.link_quant[idx]));
-                        }
-                    }
-                } else {
-                    for &j in &targets {
-                        let idx = src * n + j as usize;
-                        if self.link_relevant[idx] {
-                            let h = keyed_state(self.fade_seed, link_key(src as u32, j), frame_ctr);
-                            let fast = Db::new(sigma * normal_from_state(h));
-                            v.push((
-                                j,
-                                QuantizedPower::from_milliwatts(
-                                    (Dbm::new(self.link_dbm[idx]) + fast).to_milliwatts(),
-                                ),
-                            ));
-                        }
-                    }
-                }
-                let relevant = v.len() as u64;
-                self.counters.cull_relevant += relevant;
-                self.counters.cache_lookups += relevant;
-                self.scratch = targets;
-                PowerMap::Sparse(v)
             }
         }
+        let relevant = v.len() as u64;
+        self.counters.cull_relevant += relevant;
+        self.counters.cache_lookups += relevant;
+        self.scratch = targets;
+        v
     }
 
     /// Receiver-side bookkeeping when a transmission starts: ledger
@@ -1272,29 +1217,17 @@ impl Medium {
         // Captured receivers, recorded as events once the per-node
         // borrow below is released.
         let mut captured: Vec<usize> = Vec::new();
-        match &powers {
-            PowerMap::Dense(v) => {
-                for (n, &power) in v.iter().enumerate() {
-                    if n == src || power == QuantizedPower::ZERO {
-                        continue;
-                    }
-                    self.receive_begin(n, power, id, frame, now, end, &mut notes, &mut captured);
-                }
-            }
-            PowerMap::Sparse(v) => {
-                for &(n, power) in v {
-                    self.receive_begin(
-                        n as usize,
-                        power,
-                        id,
-                        frame,
-                        now,
-                        end,
-                        &mut notes,
-                        &mut captured,
-                    );
-                }
-            }
+        for &(n, power) in &powers {
+            self.receive_begin(
+                n as usize,
+                power,
+                id,
+                frame,
+                now,
+                end,
+                &mut notes,
+                &mut captured,
+            );
         }
 
         if observe {
@@ -1415,20 +1348,8 @@ impl Medium {
         }
 
         let mut notes = Vec::new();
-        match &powers {
-            PowerMap::Dense(v) => {
-                for (n, &power) in v.iter().enumerate() {
-                    if n == src || power == QuantizedPower::ZERO {
-                        continue;
-                    }
-                    self.receive_end(n, power, id, frame, now, &mut notes);
-                }
-            }
-            PowerMap::Sparse(v) => {
-                for &(n, power) in v {
-                    self.receive_end(n as usize, power, id, frame, now, &mut notes);
-                }
-            }
+        for &(n, power) in &powers {
+            self.receive_end(n as usize, power, id, frame, now, &mut notes);
         }
         notes.push((NodeId(src), PhyNote::TxDone { frame }));
         if observe {
@@ -1985,5 +1906,34 @@ mod tests {
             t += 90;
         }
         assert_eq!(ex.stats(), cu.stats());
+    }
+
+    /// The exhaustive backend is the culled sweep over a one-cell grid:
+    /// on the 150-node, 14 km scatter of the medium bench — many
+    /// relevance ranges across — every node is a candidate receiver of
+    /// every other, and the relevant set stays inside that.
+    #[test]
+    fn exhaustive_grid_is_one_cell_holding_every_node() {
+        let chan = LogNormalShadowing::testbed(Dbm::new(0.0));
+        let mut rng = StdRng::seed_from_u64(42);
+        let n = 150;
+        let positions: Vec<Position> = (0..n)
+            .map(|_| Position::new(rng.gen_range(0.0..14_000.0), rng.gen_range(0.0..14_000.0)))
+            .collect();
+        let m = Medium::with_backend(
+            chan,
+            positions,
+            true,
+            StdRng::seed_from_u64(7),
+            MediumBackend::Exhaustive,
+        );
+        for i in 0..n {
+            let cand = m.candidate_receivers(NodeId(i));
+            let others: Vec<NodeId> = (0..n).filter(|&j| j != i).map(NodeId).collect();
+            assert_eq!(cand, others, "node {i}: exhaustive candidates");
+            for r in m.relevant_receivers(NodeId(i)) {
+                assert!(cand.contains(&r), "node {i}: relevant {r} not a candidate");
+            }
+        }
     }
 }

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use comap_mac::time::SimDuration;
 
 use crate::frame::NodeId;
@@ -11,7 +9,7 @@ use crate::json::{check_schema_version, Json, SchemaError, SCHEMA_VERSION};
 use crate::metrics::Metrics;
 
 /// Counters of one directed link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Unique payload bytes delivered (duplicates excluded).
     pub delivered_bytes: u64,
@@ -26,7 +24,7 @@ pub struct LinkStats {
 }
 
 /// Counters of one node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Time spent transmitting anything.
     pub airtime: SimDuration,
@@ -40,7 +38,7 @@ pub struct NodeStats {
 
 /// Counters kept by the radio medium itself — physical-layer outcomes
 /// that per-link MAC counters cannot see.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediumStats {
     /// Receiver locks stolen by preamble capture (a stronger frame
     /// arrived mid-reception and was decodable over the locked one).
@@ -54,7 +52,7 @@ pub struct MediumStats {
 }
 
 /// Results of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// Simulated duration.
     pub duration: SimDuration,
