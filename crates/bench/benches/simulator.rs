@@ -4,6 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use comap_experiments::topology;
 use comap_mac::time::SimDuration;
 use comap_radio::rates::Rate;
 use comap_radio::Position;
@@ -35,6 +36,17 @@ fn contention_cell(n: usize) -> SimConfig {
     cfg
 }
 
+/// The Fig. 10 floor (3 co-channel APs, 9 clients, CO-MAP, 5 m position
+/// error) with every flow saturated: the MAC dispatch path under full
+/// exposed-terminal load.
+fn fig10_saturated() -> SimConfig {
+    let (mut cfg, _) = topology::large_scale(1, 1, MacFeatures::COMAP, 5.0);
+    for flow in &mut cfg.flows {
+        flow.traffic = Traffic::Saturated;
+    }
+    cfg
+}
+
 fn bench_sim(c: &mut Criterion) {
     let dur = SimDuration::from_millis(100);
     c.bench_function("sim_100ms_lone_link_dcf", |b| {
@@ -48,6 +60,9 @@ fn bench_sim(c: &mut Criterion) {
     });
     c.bench_function("sim_100ms_10_station_cell", |b| {
         b.iter(|| black_box(Simulator::new(contention_cell(10)).run(dur)))
+    });
+    c.bench_function("sim_200ms_fig10_saturated_comap", |b| {
+        b.iter(|| black_box(Simulator::new(fig10_saturated()).run(SimDuration::from_millis(200))))
     });
     c.bench_function("sim_construction_with_protocols", |b| {
         b.iter(|| black_box(Simulator::new(two_node(MacFeatures::COMAP))))

@@ -3,15 +3,23 @@
 //! Usage: `profile_check <profile.json>`. Parses the file, checks the
 //! invariants every healthy run profile satisfies (events processed,
 //! positive throughput, per-type counts summing to the total, a
-//! non-empty queue at some point) and prints the summary. Exits
-//! non-zero on any violation so the CI smoke run fails loudly.
+//! non-empty queue at some point) and prints the summary. Exits 1 on
+//! any violation so the CI smoke run fails loudly, and 2 with the usage
+//! line unless given exactly one argument that is not a flag.
 
 use comap_sim::{Json, RunProfile};
 
+const USAGE: &str = "usage: profile_check <profile.json>";
+
 fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| fail("usage: profile_check <profile.json>"));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = match args.as_slice() {
+        [path] if !path.starts_with('-') => path.clone(),
+        _ => {
+            eprintln!("profile_check: {USAGE}");
+            std::process::exit(2);
+        }
+    };
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let json = Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: invalid JSON: {e}")));

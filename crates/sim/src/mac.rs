@@ -421,15 +421,23 @@ impl Mac {
         self.cfg.true_positions[node.0] = true_pos;
     }
 
-    /// Handles one event, returning the actions to apply.
+    /// Handles one event, returning the actions to apply — see
+    /// [`Mac::handle_into`].
     pub fn handle(&mut self, event: MacEvent, ctx: MacCtx) -> Vec<MacAction> {
         let mut out = Vec::new();
+        self.handle_into(event, ctx, &mut out);
+        out
+    }
+
+    /// Handles one event, appending the actions to apply to `out`, which
+    /// is never cleared — the simulator passes one reused buffer.
+    pub fn handle_into(&mut self, event: MacEvent, ctx: MacCtx, out: &mut Vec<MacAction>) {
         match event {
-            MacEvent::Sense => self.on_sense(ctx, &mut out),
-            MacEvent::Rx { frame, rssi } => self.on_rx(frame, rssi, ctx, &mut out),
-            MacEvent::TxDone { frame } => self.on_tx_done(frame, ctx, &mut out),
-            MacEvent::FlowTimer => self.on_flow_timer(ctx, &mut out),
-            MacEvent::ResponderTimer => self.on_responder(ctx, &mut out),
+            MacEvent::Sense => self.on_sense(ctx, out),
+            MacEvent::Rx { frame, rssi } => self.on_rx(frame, rssi, ctx, out),
+            MacEvent::TxDone { frame } => self.on_tx_done(frame, ctx, out),
+            MacEvent::FlowTimer => self.on_flow_timer(ctx, out),
+            MacEvent::ResponderTimer => self.on_responder(ctx, out),
             MacEvent::Traffic => {
                 self.traffic_armed = false;
             }
@@ -446,12 +454,11 @@ impl Mac {
                     // Unlike a separate header, the in-band announcement
                     // arrives once the data frame is already on the air.
                     self.ongoing = Some((link, ctx.now, data_end));
-                    self.try_enter_opportunity(ctx, &mut out);
+                    self.try_enter_opportunity(ctx, out);
                 }
             }
         }
-        self.sync(ctx, &mut out);
-        out
+        self.sync(ctx, out);
     }
 
     // ------------------------------------------------------------------
@@ -1316,5 +1323,113 @@ impl Mac {
                     || (self.cfg.preamble_cs && ctx.locked)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use comap_radio::NOISE_FLOOR;
+
+    /// A plain-DCF MAC at node 0 with a saturated flow to node 1.
+    fn mac() -> Mac {
+        let cfg = SimConfig::testbed(1);
+        let mut mac = Mac::new(
+            MacConfig {
+                id: NodeId(0),
+                features: MacFeatures::DCF,
+                phy: cfg.protocol.phy,
+                rate_ctl: cfg.rate_controller,
+                channel: cfg.protocol.channel,
+                true_positions: vec![Position::new(0.0, 0.0), Position::new(8.0, 0.0)],
+                t_cs: cfg.protocol.t_cs,
+                backoff: cfg.backoff,
+                payload_bytes: cfg.payload_bytes,
+                retry_limit: cfg.retry_limit,
+                arq_window: cfg.protocol.arq_window,
+                preamble_cs: cfg.preamble_cs,
+            },
+            None,
+            7,
+        );
+        mac.add_flow(NodeId(1), Traffic::Saturated);
+        mac
+    }
+
+    /// `handle_into` appends, after whatever the buffer already holds,
+    /// exactly the actions `handle` returns for the same event sequence.
+    #[test]
+    fn handle_into_appends_what_handle_returns() {
+        let (mut by_value, mut by_buffer) = (mac(), mac());
+        let mut expected = vec![MacAction::CancelFlowTimer];
+        let mut buf = expected.clone();
+        let (mut flow_timer, mut responder, mut on_air) = (None, None, None);
+        let (mut now, mut event) = (SimTime::ZERO, MacEvent::Traffic);
+        for step in 0..300u64 {
+            let busy = step % 5 == 3;
+            let ctx = MacCtx {
+                now,
+                sensed: if busy {
+                    Dbm::new(-50.0).to_milliwatts()
+                } else {
+                    NOISE_FLOOR.to_milliwatts()
+                },
+                transmitting: on_air.is_some(),
+                locked: false,
+                observing: true,
+            };
+            let actions = by_value.handle(event, ctx);
+            by_buffer.handle_into(event, ctx, &mut buf);
+            for action in &actions {
+                match *action {
+                    MacAction::ArmFlowTimer(at) => flow_timer = Some(at),
+                    MacAction::CancelFlowTimer => flow_timer = None,
+                    MacAction::ArmResponderTimer(at) => responder = Some(at),
+                    MacAction::Transmit(frame) => on_air = Some(frame),
+                    _ => {}
+                }
+            }
+            expected.extend(actions);
+            // Next: a finished transmission, a due responder timer, a
+            // peer's data frame now and then, the flow timer, or a bare
+            // sense change.
+            (now, event) = if let Some(frame) = on_air.take() {
+                (
+                    now + SimDuration::from_millis(1),
+                    MacEvent::TxDone { frame },
+                )
+            } else if let Some(at) = responder.take() {
+                (at, MacEvent::ResponderTimer)
+            } else if step % 7 == 6 {
+                let frame = Frame {
+                    src: NodeId(1),
+                    dst: NodeId(0),
+                    body: FrameBody::Data {
+                        seq: step,
+                        payload_bytes: 500,
+                        retry: false,
+                    },
+                    rate: Rate::Mbps11,
+                };
+                let rssi = Dbm::new(-60.0);
+                (
+                    now + SimDuration::from_micros(50),
+                    MacEvent::Rx { frame, rssi },
+                )
+            } else if let Some(at) = flow_timer.take() {
+                (now.max(at), MacEvent::FlowTimer)
+            } else {
+                (now + SimDuration::from_micros(100), MacEvent::Sense)
+            };
+        }
+        // The walk reaches the sender, receiver and ACK-timeout paths.
+        for kind in ["Transmit", "Delivered", "AckTimeout", "ArmResponderTimer"] {
+            assert!(
+                expected.iter().any(|a| format!("{a:?}").contains(kind)),
+                "no {kind} action"
+            );
+        }
+        assert_eq!(format!("{buf:?}"), format!("{expected:?}"));
     }
 }

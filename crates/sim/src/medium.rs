@@ -180,7 +180,25 @@ struct PhyState {
     /// Exact ledger of the ambient power arriving from every active
     /// transmission (own transmissions excluded).
     incoming: QuantizedPower,
+    /// `incoming.to_milliwatts()`, refreshed at every ledger move so the
+    /// readers skip the u128 → f64 conversion. The conversion is a pure
+    /// function of the grains, so the cache is bit-identical to it.
+    incoming_mw: MilliWatts,
     lock: Option<RxLock>,
+}
+
+impl PhyState {
+    /// Credits `power` to the ledger.
+    fn credit(&mut self, power: QuantizedPower) {
+        self.incoming += power;
+        self.incoming_mw = self.incoming.to_milliwatts();
+    }
+
+    /// Debits `power` from the ledger.
+    fn debit(&mut self, power: QuantizedPower) {
+        self.incoming -= power;
+        self.incoming_mw = self.incoming.to_milliwatts();
+    }
 }
 
 /// Per-receiver powers of one active transmission: `(node, power)` of
@@ -485,6 +503,11 @@ pub struct Medium {
     overflow: Vec<Vec<u32>>,
     /// Reusable candidate buffer for the culled gather path.
     scratch: Vec<u32>,
+    /// Emptied power maps of ended transmissions, reused by the next
+    /// draws so a begin allocates nothing in steady state.
+    spare: Vec<PowerMap>,
+    /// `NOISE_FLOOR.to_milliwatts()`, converted once.
+    noise_mw: MilliWatts,
     stats: MediumStats,
     counters: MediumCounters,
     /// Instrumentation enabled — gates every event construction below,
@@ -620,6 +643,8 @@ impl Medium {
             grid,
             overflow: vec![Vec::new(); n],
             scratch: Vec::new(),
+            spare: Vec::new(),
+            noise_mw: NOISE_FLOOR.to_milliwatts(),
             stats: MediumStats::default(),
             counters: MediumCounters::default(),
             observe: false,
@@ -931,7 +956,7 @@ impl Medium {
     /// every active transmission, excluding the node's own). A pure
     /// function of the active-transmission set — see the module docs.
     pub fn sensed(&self, node: NodeId) -> MilliWatts {
-        NOISE_FLOOR.to_milliwatts() + self.states[node.0].incoming.to_milliwatts()
+        self.noise_mw + self.states[node.0].incoming_mw
     }
 
     /// Whether `node` is currently transmitting.
@@ -992,12 +1017,20 @@ impl Medium {
             self.stats.ledger_checks += 1;
             let divergence = self.ledger_divergence_grains();
             debug_assert_eq!(divergence, 0, "power ledger diverged from the active set");
+            for (n, state) in self.states.iter().enumerate() {
+                debug_assert_eq!(
+                    state.incoming_mw.value().to_bits(),
+                    state.incoming.to_milliwatts().value().to_bits(),
+                    "node {n}: cached incoming power diverged from its ledger"
+                );
+            }
             self.ledger_check_nanos += started.elapsed().as_nanos() as u64;
         }
     }
 
-    /// Allocates a slab slot for a new transmission and returns its id.
-    fn allocate(&mut self, active: ActiveTx) -> TxId {
+    /// Reserves a slab slot for a new transmission and returns its id;
+    /// the caller fills the slot once the receiver sweep is done.
+    fn reserve(&mut self) -> TxId {
         let slot = match self.free_slots.pop() {
             Some(s) => s as usize,
             None => {
@@ -1008,7 +1041,6 @@ impl Medium {
         assert!(slot < (1usize << SLOT_BITS), "transmission slab exhausted");
         let id = TxId((self.next_gen << SLOT_BITS) | slot as u64);
         self.next_gen += 1;
-        self.slots[slot] = Some(ActiveTx { id, ..active });
         self.live += 1;
         id
     }
@@ -1047,7 +1079,7 @@ impl Medium {
         for &j in &targets {
             self.ensure_fresh(src, j as usize);
         }
-        let mut v = Vec::with_capacity(targets.len());
+        let mut v = self.spare.pop().unwrap_or_default();
         if sigma <= 0.0 {
             // A fading deviation is non-negative; zero disables fast
             // fading and the cache holds the exact power.
@@ -1082,7 +1114,8 @@ impl Medium {
     /// Receiver-side bookkeeping when a transmission starts: ledger
     /// credit, lock acquisition or preamble capture, and the
     /// sense/announce notes. `power` is always non-zero (culled
-    /// receivers are never visited).
+    /// receivers are never visited); `threshold` is the frame rate's
+    /// linear minimum SINR, converted once per frame by the caller.
     #[allow(clippy::too_many_arguments)]
     fn receive_begin(
         &mut self,
@@ -1090,6 +1123,7 @@ impl Medium {
         power: QuantizedPower,
         id: TxId,
         frame: Frame,
+        threshold: f64,
         now: SimTime,
         end: SimTime,
         notes: &mut Vec<(NodeId, PhyNote)>,
@@ -1098,12 +1132,12 @@ impl Medium {
         let p = power.to_milliwatts();
         let observe = self.observe;
         let capture = self.capture;
+        let noise = self.noise_mw;
         let state = &mut self.states[n];
-        let ambient = NOISE_FLOOR.to_milliwatts() + state.incoming.to_milliwatts();
-        let threshold = frame.rate.min_sinr().to_linear();
+        let ambient = noise + state.incoming_mw;
         let decodable = state.transmitting.is_none() && p.value() / ambient.value() >= threshold;
-        state.incoming += power;
-        let incoming_now = state.incoming.to_milliwatts();
+        state.credit(power);
+        let incoming_now = state.incoming_mw;
         let mut announced = false;
         state.lock = match state.lock {
             None if decodable => {
@@ -1122,7 +1156,7 @@ impl Medium {
                 // Close the exposure span at the old interference
                 // level, then raise it.
                 lock.accrue(now);
-                lock.interference = NOISE_FLOOR.to_milliwatts() + incoming_now - lock.signal;
+                lock.interference = noise + incoming_now - lock.signal;
                 // Preamble capture: the new frame is decodable even
                 // over the locked signal.
                 if capture && decodable {
@@ -1160,20 +1194,40 @@ impl Medium {
     }
 
     /// Puts `frame` on the air from its source at `now`, lasting until
-    /// `end`. Returns the transmission id and the per-node notifications.
-    /// Only receivers above the relevance floor are visited — they are
-    /// the same set under either backend.
+    /// `end`. Returns the transmission id and the per-node notifications
+    /// — see [`Medium::begin_into`].
     ///
     /// # Panics
     ///
-    /// Panics if the source is already transmitting, or if `end` is not
-    /// after `now`.
+    /// As [`Medium::begin_into`].
     pub fn begin(
         &mut self,
         frame: Frame,
         now: SimTime,
         end: SimTime,
     ) -> (TxId, Vec<(NodeId, PhyNote)>) {
+        let mut notes = Vec::new();
+        let id = self.begin_into(frame, now, end, &mut notes);
+        (id, notes)
+    }
+
+    /// Puts `frame` on the air from its source at `now`, lasting until
+    /// `end`. Returns the transmission id and appends the per-node
+    /// notifications to `notes`, which is never cleared — the simulator
+    /// passes one reused buffer. Only receivers above the relevance floor
+    /// are visited — they are the same set under either backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source is already transmitting, or if `end` is not
+    /// after `now`.
+    pub fn begin_into(
+        &mut self,
+        frame: Frame,
+        now: SimTime,
+        end: SimTime,
+        notes: &mut Vec<(NodeId, PhyNote)>,
+    ) -> TxId {
         let src = frame.src.0;
         assert!(
             self.states[src].transmitting.is_none(),
@@ -1187,17 +1241,11 @@ impl Medium {
 
         // One fading draw per relevant receiver, consistent for the
         // frame's whole lifetime, keyed by the generation this frame is
-        // about to take (`allocate` embeds the same value in the TxId,
+        // about to take (`reserve` embeds the same value in the TxId,
         // which is how `receive_end` recovers the hazard key).
         let frame_ctr = self.next_gen;
         let powers = self.draw_powers(src, frame_ctr);
-
-        let id = self.allocate(ActiveTx {
-            id: TxId(0),
-            frame,
-            end,
-            powers: powers.clone(),
-        });
+        let id = self.reserve();
 
         self.states[src].transmitting = Some(id);
         // A transmitting node cannot keep receiving: it loses any lock.
@@ -1213,22 +1261,29 @@ impl Medium {
             });
         }
 
-        let mut notes = Vec::new();
         // Captured receivers, recorded as events once the per-node
         // borrow below is released.
         let mut captured: Vec<usize> = Vec::new();
+        let threshold = frame.rate.min_sinr().to_linear();
         for &(n, power) in &powers {
             self.receive_begin(
                 n as usize,
                 power,
                 id,
                 frame,
+                threshold,
                 now,
                 end,
-                &mut notes,
+                notes,
                 &mut captured,
             );
         }
+        self.slots[id.slot()] = Some(ActiveTx {
+            id,
+            frame,
+            end,
+            powers,
+        });
 
         if observe {
             for n in captured {
@@ -1240,7 +1295,7 @@ impl Medium {
             self.emit_cs_transitions();
         }
         self.debug_check_ledger();
-        (id, notes)
+        id
     }
 
     /// Receiver-side bookkeeping when a transmission ends: ledger
@@ -1255,7 +1310,7 @@ impl Medium {
         notes: &mut Vec<(NodeId, PhyNote)>,
     ) {
         let observe = self.observe;
-        self.states[n].incoming -= power;
+        self.states[n].debit(power);
         if let Some(mut lock) = self.states[n].lock {
             if lock.tx == id {
                 // Close the final exposure span and draw survival.
@@ -1301,20 +1356,31 @@ impl Medium {
                 // The locked frame's interference just dropped: close
                 // its span at the old level.
                 lock.accrue(now);
-                lock.interference = NOISE_FLOOR.to_milliwatts()
-                    + self.states[n].incoming.to_milliwatts()
-                    - lock.signal;
+                lock.interference = self.noise_mw + self.states[n].incoming_mw - lock.signal;
                 self.states[n].lock = Some(lock);
             }
         }
         notes.push((NodeId(n), PhyNote::Sense));
     }
 
+    /// Takes a transmission off the air at `now`, resolving receptions,
+    /// and returns the per-node notifications — see [`Medium::end_into`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Medium::end_into`].
+    pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, PhyNote)> {
+        let mut notes = Vec::new();
+        self.end_into(tx, now, &mut notes);
+        notes
+    }
+
     /// Takes a transmission off the air at `now`, resolving receptions.
-    /// Returns per-node notifications (`Rx` for a successful receiver,
-    /// `TxDone` for the sender, `Sense` for everyone whose ambient power
-    /// dropped). Receivers the begin culled to exact zero are skipped —
-    /// their ambient power provably did not change.
+    /// Appends per-node notifications to `notes`, which is never cleared
+    /// (`Rx` for a successful receiver, `TxDone` for the sender, `Sense`
+    /// for everyone whose ambient power dropped). Receivers the begin
+    /// culled to exact zero are skipped — their ambient power provably
+    /// did not change.
     ///
     /// # Panics
     ///
@@ -1322,7 +1388,7 @@ impl Medium {
     /// end time the transmission was scheduled with — ending a frame at
     /// the wrong instant would corrupt every overlapping hazard
     /// integral, so the medium refuses instead of silently accepting it.
-    pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, PhyNote)> {
+    pub fn end_into(&mut self, tx: TxId, now: SimTime, notes: &mut Vec<(NodeId, PhyNote)>) {
         let scheduled = self.active(tx).end;
         assert_eq!(
             scheduled, now,
@@ -1330,7 +1396,10 @@ impl Medium {
         );
         let slot = tx.slot();
         let ActiveTx {
-            id, frame, powers, ..
+            id,
+            frame,
+            mut powers,
+            ..
             // simlint: allow(panic-policy) — active(tx) above already proved the slot is occupied
         } = self.slots[slot].take().expect("checked by active()");
         self.free_slots.push(slot as u32);
@@ -1347,16 +1416,16 @@ impl Medium {
             });
         }
 
-        let mut notes = Vec::new();
         for &(n, power) in &powers {
-            self.receive_end(n as usize, power, id, frame, now, &mut notes);
+            self.receive_end(n as usize, power, id, frame, now, notes);
         }
+        powers.clear();
+        self.spare.push(powers);
         notes.push((NodeId(src), PhyNote::TxDone { frame }));
         if observe {
             self.emit_cs_transitions();
         }
         self.debug_check_ledger();
-        notes
     }
 
     /// The scheduled end time of an active transmission.
@@ -1645,6 +1714,50 @@ mod tests {
             assert_eq!(m.ledger_divergence_grains(), 0);
             t += 100;
         }
+    }
+
+    /// `begin_into`/`end_into` append to a non-empty buffer exactly the
+    /// notes `begin`/`end` return, through overlapping transmissions.
+    #[test]
+    fn into_variants_append_the_wrapper_notes() {
+        let build = || {
+            let chan = LogNormalShadowing::testbed(Dbm::new(0.0));
+            let positions: Vec<Position> = (0..6)
+                .map(|i| Position::new(8.0 * i as f64, 2.0 * i as f64))
+                .collect();
+            Medium::new(chan, positions, true, StdRng::seed_from_u64(5))
+        };
+        let (mut by_value, mut by_buffer) = (build(), build());
+        let sentinel = (NodeId(99), PhyNote::Sense);
+        let mut expected = vec![sentinel];
+        let mut buf = vec![sentinel];
+        let mut t = 0u64;
+        for round in 0..40 {
+            let (a, b) = (round % 6, (round + 3) % 6);
+            let (tx_a, notes) = by_value.begin(data(a, (a + 1) % 6), end_at(t), end_at(t + 300));
+            expected.extend(notes);
+            assert_eq!(
+                by_buffer.begin_into(data(a, (a + 1) % 6), end_at(t), end_at(t + 300), &mut buf),
+                tx_a
+            );
+            let (tx_b, notes) = by_value.begin(data(b, a), end_at(t + 100), end_at(t + 200));
+            expected.extend(notes);
+            assert_eq!(
+                by_buffer.begin_into(data(b, a), end_at(t + 100), end_at(t + 200), &mut buf),
+                tx_b
+            );
+            assert_eq!(buf, expected);
+            expected.extend(by_value.end(tx_b, end_at(t + 200)));
+            by_buffer.end_into(tx_b, end_at(t + 200), &mut buf);
+            expected.extend(by_value.end(tx_a, end_at(t + 300)));
+            by_buffer.end_into(tx_a, end_at(t + 300), &mut buf);
+            assert_eq!(buf, expected);
+            t += 300;
+        }
+        assert!(expected
+            .iter()
+            .any(|(_, n)| matches!(n, PhyNote::Rx { .. })));
+        assert_eq!(by_buffer.sensed(NodeId(1)), by_value.sensed(NodeId(1)));
     }
 
     /// A far node (beyond the relevance floor) must see *exactly* no

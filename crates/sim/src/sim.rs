@@ -40,6 +40,14 @@ pub struct Simulator {
     /// Per-node move-epoch counters: the counter half of the
     /// localization-noise key, bumped once per applied move.
     move_epoch: Vec<u64>,
+    /// MAC events awaiting dispatch within the current top-level event,
+    /// in FIFO order. Empty between events; reused so that a dispatch
+    /// allocates nothing in steady state.
+    work: VecDeque<(NodeId, MacEvent)>,
+    /// Actions of the MAC call being applied (empty between calls).
+    actions: Vec<MacAction>,
+    /// Notes of the medium call being forwarded (empty between calls).
+    notes: Vec<(NodeId, PhyNote)>,
 }
 
 impl fmt::Debug for Simulator {
@@ -148,6 +156,9 @@ impl Simulator {
             observing: false,
             move_seed,
             move_epoch: vec![0; n],
+            work: VecDeque::new(),
+            actions: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -205,9 +216,10 @@ impl Simulator {
             let started = profiler.as_ref().map(Profiler::dispatch_start);
             match event {
                 Event::TxEnd(tx) => {
-                    let notes = self.medium.end(tx, self.now);
+                    self.medium.end_into(tx, self.now, &mut self.notes);
                     self.forward_medium_events();
-                    self.dispatch_notes(notes);
+                    self.queue_notes();
+                    self.drain();
                 }
                 Event::FlowTimer { node, gen } => {
                     if self.flow_gen[node.0] == gen {
@@ -306,28 +318,20 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, node: NodeId, event: MacEvent) {
-        let mut work: VecDeque<(NodeId, MacEvent)> = VecDeque::new();
-        work.push_back((node, event));
-        self.drain(work);
+        self.work.push_back((node, event));
+        self.drain();
     }
 
-    fn dispatch_notes(&mut self, notes: Vec<(NodeId, PhyNote)>) {
-        let mut work: VecDeque<(NodeId, MacEvent)> = VecDeque::new();
-        for (n, note) in notes {
-            match note {
-                PhyNote::Sense => work.push_back((n, MacEvent::Sense)),
-                PhyNote::Rx { frame, rssi } => work.push_back((n, MacEvent::Rx { frame, rssi })),
-                PhyNote::TxDone { frame } => work.push_back((n, MacEvent::TxDone { frame })),
-                PhyNote::Announce { link, data_end } => {
-                    work.push_back((n, MacEvent::Announce { link, data_end }))
-                }
-            }
-        }
-        self.drain(work);
+    /// Moves the medium's pending notes onto the work queue, in order.
+    fn queue_notes(&mut self) {
+        self.work
+            .extend(self.notes.drain(..).map(|(n, note)| (n, note_event(note))));
     }
 
-    fn drain(&mut self, mut work: VecDeque<(NodeId, MacEvent)>) {
-        while let Some((node, event)) = work.pop_front() {
+    /// Runs the work queue dry: each MAC reaction may queue more work
+    /// (the notes of a transmission it starts), all at the same instant.
+    fn drain(&mut self) {
+        while let Some((node, event)) = self.work.pop_front() {
             let ctx = MacCtx {
                 now: self.now,
                 sensed: self.medium.sensed(node),
@@ -335,14 +339,17 @@ impl Simulator {
                 locked: self.medium.is_locked(node),
                 observing: self.observing,
             };
-            let actions = self.macs[node.0].handle(event, ctx);
-            for action in actions {
-                self.apply(node, action, &mut work);
+            self.macs[node.0].handle_into(event, ctx, &mut self.actions);
+            // `apply` never re-enters a MAC, so the buffer can be lent out.
+            let mut actions = std::mem::take(&mut self.actions);
+            for action in actions.drain(..) {
+                self.apply(node, action);
             }
+            self.actions = actions;
         }
     }
 
-    fn apply(&mut self, node: NodeId, action: MacAction, work: &mut VecDeque<(NodeId, MacEvent)>) {
+    fn apply(&mut self, node: NodeId, action: MacAction) {
         match action {
             MacAction::ArmFlowTimer(at) => {
                 self.flow_gen[node.0] += 1;
@@ -377,20 +384,13 @@ impl Simulator {
                     .phy
                     .frame_duration(frame.on_air_bytes(), frame.rate);
                 let end = self.now + duration;
-                let (tx, notes) = self.medium.begin(frame, self.now, end);
+                let tx = self
+                    .medium
+                    .begin_into(frame, self.now, end, &mut self.notes);
                 self.forward_medium_events();
                 self.queue.schedule(end, Event::TxEnd(tx));
                 self.report.node_mut(node).airtime += duration;
-                for (n, note) in notes {
-                    match note {
-                        PhyNote::Sense => work.push_back((n, MacEvent::Sense)),
-                        PhyNote::Announce { link, data_end } => {
-                            work.push_back((n, MacEvent::Announce { link, data_end }))
-                        }
-                        // begin() produces no receptions or completions.
-                        PhyNote::Rx { .. } | PhyNote::TxDone { .. } => {}
-                    }
-                }
+                self.queue_notes();
             }
             MacAction::Stat(stat) => self.account(node, stat),
             MacAction::Emit(ev) => self.emit(ev),
@@ -423,6 +423,16 @@ impl Simulator {
                 self.report.node_mut(node).headers_heard += 1;
             }
         }
+    }
+}
+
+/// The MAC event a medium note delivers.
+fn note_event(note: PhyNote) -> MacEvent {
+    match note {
+        PhyNote::Sense => MacEvent::Sense,
+        PhyNote::Rx { frame, rssi } => MacEvent::Rx { frame, rssi },
+        PhyNote::TxDone { frame } => MacEvent::TxDone { frame },
+        PhyNote::Announce { link, data_end } => MacEvent::Announce { link, data_end },
     }
 }
 

@@ -34,6 +34,18 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> perfbench: own tests + --trace 1 mirror guard (cells_observed, 2 s)"
+# perfbench/ is a workspace of its own that replays the event loop
+# through the public layer APIs; nothing else builds it, so an API change
+# that breaks the replay would otherwise go unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+perfbench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload cells_observed --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$perfbench_out"; then
+    echo "perfbench mirror guard failed: $perfbench_out" >&2
+    exit 1
+fi
+
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \
     --profile-json target/profile_smoke.json
