@@ -7,9 +7,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use comap_core::adapt::AdaptationTable;
 use comap_core::{Protocol, ProtocolConfig};
+use comap_experiments::topology;
 use comap_mac::timing::PhyTiming;
 use comap_radio::rates::Rate;
 use comap_radio::Position;
+use comap_sim::config::MacFeatures;
 
 /// A 12-node neighborhood shaped like the large-scale floor.
 fn protocol_with_neighbors() -> Protocol<u32> {
@@ -19,6 +21,20 @@ fn protocol_with_neighbors() -> Protocol<u32> {
         let angle = i as f64 * 0.55;
         let r = 10.0 + (i as f64) * 6.0;
         p.on_position_report(i, Position::new(r * angle.cos(), r * angle.sin()));
+    }
+    p
+}
+
+/// The first client of the 400-node §VI campus (one node per (280 m)²,
+/// ten-node AP clusters), knowing every node's position. Its AP is
+/// node 0.
+fn campus_client() -> Protocol<u32> {
+    let (cfg, _) = topology::scale_campus(400, 1, MacFeatures::COMAP, 1);
+    // APs come first; client i is associated with AP i mod #APs.
+    let first_client = (cfg.nodes.len() / 10) as u32;
+    let mut p = Protocol::new(first_client, ProtocolConfig::testbed());
+    for (i, node) in (0u32..).zip(&cfg.nodes) {
+        p.on_position_report(i, node.position);
     }
     p
 }
@@ -43,6 +59,12 @@ fn bench_census(c: &mut Criterion) {
     });
     c.bench_function("tx_setting", |b| {
         b.iter(|| black_box(p.tx_setting(black_box(1)).unwrap()))
+    });
+    // Campus density: all but a cluster's worth of the 399 neighbors
+    // lie beyond both cull radii.
+    let campus = campus_client();
+    c.bench_function("ht_census_399_neighbors_campus", |b| {
+        b.iter(|| black_box(campus.ht_census(black_box(0)).unwrap()))
     });
 }
 

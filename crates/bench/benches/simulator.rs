@@ -67,6 +67,10 @@ fn bench_sim(c: &mut Criterion) {
     c.bench_function("sim_construction_with_protocols", |b| {
         b.iter(|| black_box(Simulator::new(two_node(MacFeatures::COMAP))))
     });
+    let campus = topology::scale_campus(400, 1, MacFeatures::COMAP, 1).0;
+    c.bench_function("sim_new_campus_400", |b| {
+        b.iter(|| black_box(Simulator::new(campus.clone())))
+    });
 }
 
 fn quick() -> Criterion {

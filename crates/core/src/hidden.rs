@@ -12,9 +12,37 @@
 //! Neighbors that *can* sense `S` and interfere are **contenders** — they
 //! share the channel through CSMA rather than colliding blindly. Both
 //! counts feed the analytical model's `(h, c)` lookup.
+//!
+//! # Range cull
+//!
+//! [`HtCensusEngine::census`] files a neighbor as `Independent` without
+//! evaluating eqs. (3)–(4) when it lies beyond `CULL_MARGIN` (2) times
+//! both closed-form ranges: the interference range around the receiver
+//! and the 90 %-miss carrier-sense range around the sender. Every other
+//! neighbor goes through [`HtCensusEngine::classify`]. The cull is exact:
+//!
+//! * eq. (3) is monotone increasing in the interferer distance and
+//!   eq. (4) in the sender distance, so beyond the range where each
+//!   crosses its threshold the verdict is "does not interfere" and
+//!   "cannot sense" — the definition of `Independent`;
+//! * doubling a distance moves either argument by `10 α log₁₀ 2`
+//!   (≈ 8.7 dB at `α = 2.9`). On both presets that puts a culled
+//!   neighbor's PRR at ≥ 0.98 against the 0.75 threshold and its miss
+//!   probability at ≥ 0.999 against 0.9: gaps of more than 0.08, where
+//!   the closed-form ranges, the probit refinement and `erfc` err by
+//!   less than 1e-9, so no rounding can land a culled neighbor on the
+//!   wrong side of a threshold;
+//! * with `σ = 0` both equations are step functions switching exactly at
+//!   the closed-form ranges, so the margin holds there too;
+//! * near-field clamping only raises distances to `d₀`, which moves
+//!   both probabilities further in the culled direction.
+//!
+//! This is the "superset by construction" argument of the medium's
+//! relevance radius: the cull never decides anything `classify` would
+//! decide differently, it only skips work.
 
 use comap_radio::prr::ReceptionModel;
-use comap_radio::units::Dbm;
+use comap_radio::units::{Dbm, Meters};
 use comap_radio::Position;
 
 use crate::neighbor::NeighborTable;
@@ -55,6 +83,11 @@ impl<A> HtCensus<A> {
     }
 }
 
+/// Factor by which a neighbor must lie beyond both closed-form ranges
+/// before [`HtCensusEngine::census`] files it as `Independent` without
+/// classifying it (see the module docs for why 2 is exact).
+const CULL_MARGIN: f64 = 2.0;
+
 /// Census engine bundling the thresholds of Section IV-D1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HtCensusEngine {
@@ -64,6 +97,11 @@ pub struct HtCensusEngine {
     interference_prr: f64,
     /// CS-miss probability above which a node counts as hidden (90 %).
     miss_probability: f64,
+    /// `CULL_MARGIN ×` the 90 %-miss carrier-sense range, in meters.
+    cs_cull_m: f64,
+    /// `CULL_MARGIN ×` the interference range per meter of
+    /// `max(d, d₀)` (the range is linear in it).
+    int_cull_per_m: f64,
 }
 
 impl HtCensusEngine {
@@ -86,17 +124,46 @@ impl HtCensusEngine {
             miss_probability > 0.0 && miss_probability < 1.0,
             "miss probability must be in (0, 1)"
         );
+        let d0 = reception.channel().reference_distance();
         HtCensusEngine {
             reception,
             t_cs,
             interference_prr,
             miss_probability,
+            cs_cull_m: CULL_MARGIN
+                * reception
+                    .cs_range_for_miss_probability(t_cs, miss_probability)
+                    .value(),
+            int_cull_per_m: CULL_MARGIN
+                * reception.interference_range(d0, interference_prr).value()
+                / d0.value(),
         }
+    }
+
+    /// The cull radii for a link of length `d`: a neighbor farther than
+    /// the first from the receiver *and* farther than the second from
+    /// the sender is `Independent` without classification.
+    pub fn cull_radii(&self, d: Meters) -> (Meters, Meters) {
+        let d0 = self.reception.channel().reference_distance();
+        (
+            Meters::new(self.int_cull_per_m * d.max(d0).value()),
+            Meters::new(self.cs_cull_m),
+        )
     }
 
     /// Classifies a single neighbor with respect to the link `s → r`.
     pub fn classify(&self, s: Position, r: Position, neighbor: Position) -> NeighborClass {
-        let d = s.distance_to(r);
+        self.classify_link(s.distance_to(r), s, r, neighbor)
+    }
+
+    /// [`Self::classify`] with the link length `d = |s r|` precomputed.
+    fn classify_link(
+        &self,
+        d: Meters,
+        s: Position,
+        r: Position,
+        neighbor: Position,
+    ) -> NeighborClass {
         let eps = self.reception.channel().reference_distance();
         let interferer_dist = neighbor.distance_to(r).max(eps);
         let interferes = self.reception.prr(d, interferer_dist) < self.interference_prr;
@@ -111,7 +178,10 @@ impl HtCensusEngine {
     }
 
     /// Runs the census of the link `s → r` over a neighbor table,
-    /// excluding the link's own endpoints.
+    /// excluding the link's own endpoints. Neighbors beyond both cull
+    /// radii ([`Self::cull_radii`]) are filed as `Independent` without
+    /// evaluating eqs. (3)–(4); the result, order included, is the one
+    /// [`Self::classify`] on every neighbor would give.
     pub fn census<A: Addr>(
         &self,
         table: &NeighborTable<A>,
@@ -123,13 +193,22 @@ impl HtCensusEngine {
         let mut census = HtCensus {
             hidden: Vec::new(),
             contenders: Vec::new(),
-            independent: Vec::new(),
+            independent: Vec::with_capacity(table.len()),
         };
+        let d = s.distance_to(r);
+        let (int_cull, cs_cull) = self.cull_radii(d);
+        // Squared radii: the margin dwarfs any rounding of the squares.
+        let (int_cull_sq, cs_cull_sq) = (int_cull.value().powi(2), cs_cull.value().powi(2));
         for (addr, entry) in table.iter() {
             if addr == s_addr || addr == r_addr {
                 continue;
             }
-            match self.classify(s, r, entry.position) {
+            let p = entry.position;
+            if distance_sq(p, r) > int_cull_sq && distance_sq(p, s) > cs_cull_sq {
+                census.independent.push(addr);
+                continue;
+            }
+            match self.classify_link(d, s, r, p) {
                 NeighborClass::Hidden => census.hidden.push(addr),
                 NeighborClass::Contender => census.contenders.push(addr),
                 NeighborClass::Independent => census.independent.push(addr),
@@ -137,6 +216,13 @@ impl HtCensusEngine {
         }
         census
     }
+}
+
+/// Squared Euclidean distance, without the `hypot` of
+/// [`Position::distance_to`].
+fn distance_sq(a: Position, b: Position) -> f64 {
+    let (dx, dy) = (a.x - b.x, a.y - b.y);
+    dx * dx + dy * dy
 }
 
 #[cfg(test)]

@@ -6,6 +6,8 @@
 //! validation, and transmission parameters come from the hidden-terminal
 //! census plus the precomputed [`AdaptationTable`].
 
+use std::sync::Arc;
+
 use comap_radio::units::Dbm;
 use comap_radio::Position;
 
@@ -37,7 +39,9 @@ pub struct Protocol<A: Addr> {
     map: CoOccurrenceMap<A>,
     validator: ConcurrencyValidator,
     census: HtCensusEngine,
-    adaptation: AdaptationTable,
+    /// Read-only after construction, so every node of a simulation
+    /// shares one copy.
+    adaptation: Arc<AdaptationTable>,
     location: LocationService,
 }
 
@@ -45,6 +49,18 @@ impl<A: Addr> Protocol<A> {
     /// Creates the protocol instance for node `addr`, precomputing the
     /// adaptation table for the configured PHY and model rate.
     pub fn new(addr: A, config: ProtocolConfig) -> Self {
+        let adaptation = Arc::new(Self::adaptation_table(&config));
+        Self::with_adaptation(addr, config, adaptation)
+    }
+
+    /// Creates the protocol instance for node `addr` over an adaptation
+    /// table already built by [`Self::adaptation_table`] for `config`,
+    /// so that many nodes can share one table.
+    pub fn with_adaptation(
+        addr: A,
+        config: ProtocolConfig,
+        adaptation: Arc<AdaptationTable>,
+    ) -> Self {
         let reception = config.reception();
         Protocol {
             addr,
@@ -59,21 +75,28 @@ impl<A: Addr> Protocol<A> {
                 config.census_interference_prr,
                 config.ht_miss_probability,
             ),
-            adaptation: AdaptationTable::precompute_with(
-                config.phy,
-                config.model_rate,
-                TABLE_MAX_HIDDEN,
-                TABLE_MAX_CONTENDERS,
-                config.max_adapted_payload,
-                Some(config.hidden_profile),
-                if config.adapt_cw {
-                    &crate::adapt::CW_CANDIDATES
-                } else {
-                    &[31]
-                },
-            ),
+            adaptation,
             location: LocationService::new(config.mobility),
         }
+    }
+
+    /// The adaptation table `config` calls for: the analytical model's
+    /// best setting for every `(N_ht, c)` cell, for the configured PHY,
+    /// model rate, payload ceiling and hidden-terminal profile.
+    pub fn adaptation_table(config: &ProtocolConfig) -> AdaptationTable {
+        AdaptationTable::precompute_with(
+            config.phy,
+            config.model_rate,
+            TABLE_MAX_HIDDEN,
+            TABLE_MAX_CONTENDERS,
+            config.max_adapted_payload,
+            Some(config.hidden_profile),
+            if config.adapt_cw {
+                &crate::adapt::CW_CANDIDATES
+            } else {
+                &[31]
+            },
+        )
     }
 
     /// This node's address.
@@ -329,6 +352,27 @@ mod tests {
         let setting = p.tx_setting("AP").unwrap();
         let calm = p.adaptation().setting(0, census.n_contenders());
         assert!(setting.payload_bytes <= calm.payload_bytes);
+    }
+
+    #[test]
+    fn shared_table_matches_a_private_one() {
+        for base in [ProtocolConfig::testbed(), ProtocolConfig::large_scale()] {
+            for adapt_cw in [true, false] {
+                let cfg = ProtocolConfig { adapt_cw, ..base };
+                let table = Arc::new(Protocol::<&str>::adaptation_table(&cfg));
+                let mut own = Protocol::new("me", cfg);
+                let mut shared = Protocol::with_adaptation("me", cfg, Arc::clone(&table));
+                assert_eq!(own.adaptation(), shared.adaptation());
+                assert!(std::ptr::eq(shared.adaptation(), &*table));
+                for p in [&mut own, &mut shared] {
+                    p.set_own_position(Position::ORIGIN);
+                    p.on_position_report("AP", Position::new(20.0, 0.0));
+                    p.on_position_report("H", Position::new(42.0, 0.0));
+                    p.on_position_report("C", Position::new(5.0, 3.0));
+                }
+                assert_eq!(own.tx_setting("AP"), shared.tx_setting("AP"));
+            }
+        }
     }
 
     #[test]

@@ -2,16 +2,132 @@
 
 use comap_core::adapt::{payload_candidates, AdaptationTable, CW_CANDIDATES};
 use comap_core::cooccurrence::CoOccurrenceMap;
+use comap_core::hidden::{HtCensus, HtCensusEngine, NeighborClass};
 use comap_core::model::{DcfModel, HiddenProfile, ModelInput};
 use comap_core::validate::ConcurrencyValidator;
-use comap_core::ProtocolConfig;
+use comap_core::{MobilityConfig, NeighborTable, ProtocolConfig};
 use comap_mac::timing::PhyTiming;
 use comap_radio::rates::Rate;
-use comap_radio::Position;
+use comap_radio::units::{Db, Dbm};
+use comap_radio::{LogNormalShadowing, Position};
 use proptest::prelude::*;
 
 fn arb_pos() -> impl Strategy<Value = Position> {
     ((-150.0..150.0f64), (-150.0..150.0f64)).prop_map(|(x, y)| Position::new(x, y))
+}
+
+/// The census presets: testbed, large-scale, and the testbed with a
+/// deterministic (`σ = 0`) channel.
+fn census_config(preset: usize) -> ProtocolConfig {
+    match preset {
+        0 => ProtocolConfig::testbed(),
+        1 => ProtocolConfig::large_scale(),
+        _ => ProtocolConfig {
+            channel: LogNormalShadowing::from_friis(Dbm::new(0.0), 2.9, Db::ZERO),
+            ..ProtocolConfig::testbed()
+        },
+    }
+}
+
+fn census_engine(cfg: &ProtocolConfig) -> HtCensusEngine {
+    HtCensusEngine::new(
+        cfg.reception(),
+        cfg.t_cs,
+        cfg.census_interference_prr,
+        cfg.ht_miss_probability,
+    )
+}
+
+/// The census without the range cull: `classify` on every neighbor.
+fn reference_census(
+    engine: &HtCensusEngine,
+    table: &NeighborTable<u32>,
+    (s_addr, s): (u32, Position),
+    (r_addr, r): (u32, Position),
+) -> HtCensus<u32> {
+    let mut census = HtCensus {
+        hidden: Vec::new(),
+        contenders: Vec::new(),
+        independent: Vec::new(),
+    };
+    for (addr, entry) in table.iter() {
+        if addr == s_addr || addr == r_addr {
+            continue;
+        }
+        match engine.classify(s, r, entry.position) {
+            NeighborClass::Hidden => census.hidden.push(addr),
+            NeighborClass::Contender => census.contenders.push(addr),
+            NeighborClass::Independent => census.independent.push(addr),
+        }
+    }
+    census
+}
+
+/// `from` moved `dist` meters along the unit direction `(ux, uy)`.
+fn toward(from: Position, (ux, uy): (f64, f64), dist: f64) -> Position {
+    from.offset(ux * dist, uy * dist)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The range-culled census equals `classify` on every neighbor: all
+    /// three lists, in the same order. Besides a campus-wide scatter,
+    /// neighbors sit at each cull radius × (1 ± 1e-9), both straight out
+    /// from the link (where the other radius is already cleared, so the
+    /// boundary decides) and at a random bearing.
+    #[test]
+    fn culled_census_matches_classify_on_every_neighbor(
+        preset in 0usize..3,
+        s in arb_pos(),
+        link in (0.0..60.0f64, 0.0..std::f64::consts::TAU, any::<bool>()),
+        scatter in prop::collection::vec(((-700.0..700.0f64), (-700.0..700.0f64)), 0..60),
+        bearings in prop::collection::vec(0.0..std::f64::consts::TAU, 8..9),
+    ) {
+        let cfg = census_config(preset);
+        let engine = census_engine(&cfg);
+        // Half the links are shorter than d0 = 1 m.
+        let (len, theta, short) = link;
+        let len = if short { len / 60.0 } else { len };
+        let r = s.offset(len * theta.cos(), len * theta.sin());
+        let d = s.distance_to(r);
+        let (int_cull, cs_cull) = engine.cull_radii(d);
+        // Unit vector s → r (an arbitrary one for a zero-length link).
+        let axis = if d.value() > 0.0 {
+            ((r.x - s.x) / d.value(), (r.y - s.y) / d.value())
+        } else {
+            (1.0, 0.0)
+        };
+        let back = (-axis.0, -axis.1);
+
+        let mut table = NeighborTable::new(MobilityConfig::default());
+        table.insert(0, s);
+        table.insert(1, r);
+        let mut next = 2u32;
+        let mut add = |table: &mut NeighborTable<u32>, p: Position| {
+            table.insert(next, p);
+            next += 1;
+        };
+        for &(x, y) in &scatter {
+            add(&mut table, s.offset(x, y));
+        }
+        for (k, factor) in [1.0 - 1e-9, 1.0 + 1e-9].into_iter().enumerate() {
+            let (a, b) = (bearings[4 * k], bearings[4 * k + 1]);
+            let (c, e) = (bearings[4 * k + 2], bearings[4 * k + 3]);
+            let int_at = int_cull.value() * factor;
+            let cs_at = cs_cull.value() * factor;
+            add(&mut table, toward(r, axis, int_at));
+            add(&mut table, toward(s, back, cs_at));
+            add(&mut table, toward(r, (a.cos(), a.sin()), int_at));
+            add(&mut table, toward(s, (b.cos(), b.sin()), cs_at));
+            add(&mut table, toward(r, (c.cos(), c.sin()), cs_at));
+            add(&mut table, toward(s, (e.cos(), e.sin()), int_at));
+        }
+
+        let culled = engine.census(&table, 0, s, 1, r);
+        let reference = reference_census(&engine, &table, (0, s), (1, r));
+        prop_assert_eq!(culled, reference);
+    }
 }
 
 proptest! {

@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,12 +89,18 @@ impl Simulator {
         );
         medium.set_inband_announce(cfg.inband_header);
 
+        // Every CO-MAP node reads the same adaptation table: build it
+        // once, on the first node that needs it.
+        let mut adaptation = None;
         let mut macs = Vec::with_capacity(n);
         for i in 0..n {
             let id = NodeId(i);
             let features = cfg.features_of(id);
             let proto = if features.any() {
-                let mut p = Protocol::new(id, cfg.protocol);
+                let table = adaptation.get_or_insert_with(|| {
+                    Arc::new(Protocol::<NodeId>::adaptation_table(&cfg.protocol))
+                });
+                let mut p = Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table));
                 p.set_own_position(reported[i]);
                 for (j, &pos) in reported.iter().enumerate() {
                     if j != i {
@@ -449,6 +456,23 @@ mod tests {
         let b = cfg.add_node(NodeSpec::ap("AP1", Position::new(8.0, 0.0)));
         cfg.add_flow(a, b, Traffic::Saturated);
         cfg
+    }
+
+    #[test]
+    fn comap_nodes_share_one_adaptation_table() {
+        let mut cfg = two_node_cfg(1);
+        cfg.default_features = MacFeatures::COMAP;
+        let c2 = cfg.add_node(NodeSpec::client("C2", Position::new(30.0, 0.0)));
+        cfg.nodes[c2.0].features = Some(MacFeatures::DCF);
+        cfg.add_node(NodeSpec::client("C3", Position::new(0.0, 12.0)));
+        let sim = Simulator::new(cfg);
+        let tables: Vec<_> = sim
+            .macs
+            .iter()
+            .filter_map(|mac| mac.protocol().map(|p| p.adaptation()))
+            .collect();
+        assert_eq!(tables.len(), 3, "the DCF node runs no protocol");
+        assert!(tables.iter().all(|&t| std::ptr::eq(t, tables[0])));
     }
 
     #[test]

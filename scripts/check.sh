@@ -46,6 +46,17 @@ if ! grep -q '"correct": true' <<<"$perfbench_out"; then
     exit 1
 fi
 
+echo "==> perfbench: campus digest guard (campus_mobile, 2 s)"
+# The only workload whose censuses skip out-of-range neighbors (the
+# hidden-terminal range cull) and whose nodes move: its jobs must still
+# reproduce the pinned digests.
+perfbench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload campus_mobile --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$perfbench_out"; then
+    echo "perfbench campus digest guard failed: $perfbench_out" >&2
+    exit 1
+fi
+
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \
     --profile-json target/profile_smoke.json
