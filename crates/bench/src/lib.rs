@@ -10,3 +10,11 @@
 //!   regression in any scenario's runtime is caught.
 
 #![forbid(unsafe_code)]
+// Library code must not panic, and every lint suppression is a
+// reasoned `#[expect]`; clippy.toml bans wall clocks and hash
+// containers (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]

@@ -16,6 +16,12 @@ use comap_sim::stats::SimReport;
 /// into its seed's slot, so the output order — and, since every
 /// simulation is deterministic in its seed, the output itself — does not
 /// depend on scheduling.
+#[expect(
+    clippy::expect_used,
+    reason = "lock poisoning means a worker already panicked, and scope() has joined every \
+              worker, so poisoning re-raises their panic; the index loop covers \
+              0..seeds.len(), so every slot was written"
+)]
 pub fn run_many<F>(build: F, seeds: &[u64], duration: SimDuration) -> Vec<SimReport>
 where
     F: Fn(u64) -> SimConfig + Sync,
@@ -40,16 +46,13 @@ where
                     break;
                 }
                 let report = Simulator::new(build(seeds[i])).run(duration);
-                // simlint: allow(panic-policy) — lock poisoning means a worker already panicked; propagate it
                 out.lock().expect("no panics while holding the lock")[i] = Some(report);
             });
         }
     });
     out.into_inner()
-        // simlint: allow(panic-policy) — scope() has joined every worker; poisoning re-raises their panic
         .expect("workers joined")
         .into_iter()
-        // simlint: allow(panic-policy) — the index loop covers 0..seeds.len(), so every slot was written
         .map(|r| r.expect("every slot filled"))
         .collect()
 }

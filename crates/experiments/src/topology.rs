@@ -486,12 +486,15 @@ pub fn scale_campus(
     )
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "callers pass the fixed AP grid, never an empty slice"
+)]
 fn nearest_ap(aps: &[Position], p: Position) -> (f64, usize) {
     aps.iter()
         .enumerate()
         .map(|(i, &a)| (a.distance_to(p).value(), i))
         .min_by(|a, b| a.0.total_cmp(&b.0))
-        // simlint: allow(panic-policy) — callers pass the fixed AP grid, never an empty slice
         .expect("at least one AP")
 }
 

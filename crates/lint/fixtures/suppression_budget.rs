@@ -1,20 +1,20 @@
 //! Seeded input for the `suppression-budget` gate. This file is a lint
-//! *fixture* (never compiled): it carries three justified
-//! `panic-policy` suppressions, so a `--max-allows panic-policy=2`
-//! budget must fail on it while `=3` passes. The directives themselves
-//! are well-formed — the finding belongs to the budget, not the sites.
+//! *fixture* (never compiled): it carries three justified `float-eq`
+//! suppressions, so a `float-eq` budget of 2 must fail on it while 3
+//! passes. The directives themselves are well-formed — the finding
+//! belongs to the budget, not the sites.
 
-pub fn first(xs: &[u32]) -> u32 {
-    // simlint: allow(panic-policy) — caller guarantees a non-empty slice
-    *xs.first().expect("non-empty")
+pub fn first(x: f64) -> bool {
+    // simlint: allow(float-eq) — 0.0 is an exact sentinel set by the caller
+    x == 0.0
 }
 
-pub fn second(xs: &[u32]) -> u32 {
-    // simlint: allow(panic-policy) — index checked by the caller's loop bound
-    *xs.get(1).expect("two elements")
+pub fn second(x: f64) -> bool {
+    // simlint: allow(float-eq) — 1.0 is written verbatim by the config parser
+    x == 1.0
 }
 
-pub fn third(xs: &[u32]) -> u32 {
-    // simlint: allow(panic-policy) — invariant: table rows always have three columns
-    *xs.get(2).expect("three elements")
+pub fn third(x: f64) -> bool {
+    // simlint: allow(float-eq) — invariant: 0.5 is the exact midpoint the caller writes
+    x == 0.5
 }

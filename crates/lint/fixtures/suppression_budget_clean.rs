@@ -1,12 +1,11 @@
 //! The within-budget twin of `suppression_budget.rs`: one justified
-//! suppression, under every budget the gate enforces. A
-//! `--max-allows panic-policy=1` budget must pass on this file.
+//! suppression, so a `float-eq` budget of 1 must pass on this file.
 
-pub fn first(xs: &[u32]) -> u32 {
-    // simlint: allow(panic-policy) — caller guarantees a non-empty slice
-    *xs.first().expect("non-empty")
+pub fn first(x: f64) -> bool {
+    // simlint: allow(float-eq) — 0.0 is an exact sentinel set by the caller
+    x == 0.0
 }
 
-pub fn safe(xs: &[u32]) -> u32 {
-    xs.first().copied().unwrap_or(0)
+pub fn safe(x: f64) -> bool {
+    x.abs() < 1e-9
 }

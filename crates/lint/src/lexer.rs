@@ -593,11 +593,11 @@ mod tests {
 
     #[test]
     fn directive_parses_with_reason() {
-        let lexed = lex("// simlint: allow(panic-policy) — documented invariant\nlet x = 1;");
+        let lexed = lex("// simlint: allow(float-eq) — documented invariant\nlet x = 1;");
         assert_eq!(lexed.directives.len(), 1);
         let d = &lexed.directives[0];
         assert!(d.well_formed && d.has_reason);
-        assert_eq!(d.rule, "panic-policy");
+        assert_eq!(d.rule, "float-eq");
         assert_eq!(d.line, 1);
     }
 

@@ -19,13 +19,6 @@ pub enum Rule {
     /// Public functions in the physics crates must take unit newtypes,
     /// not raw `f64`, for power/ratio/distance parameters.
     UnitHygiene,
-    /// No unordered containers, wall clocks or thread-local RNG in the
-    /// deterministic simulation crates.
-    Determinism,
-    /// No `unwrap()`/`expect()`/`panic!`/`todo!` in library code.
-    PanicPolicy,
-    /// Every `SimEvent` variant must have an emission site.
-    EventCompleteness,
     /// No `==`/`!=` against floating-point literals.
     FloatEq,
     /// No shared-mutable / non-`Send` state (`Rc`, `RefCell`, `Cell`,
@@ -36,12 +29,8 @@ pub enum Rule {
     /// the counter-based keyed streams (PR 7) so per-region shards
     /// never share a mutable RNG stream.
     RngDiscipline,
-    /// Matches over `SimEvent` must name every variant they dispatch
-    /// on — no wildcard arms, so a new event forces a decision at each
-    /// observer/dispatch site.
-    MatchExhaustive,
-    /// A per-rule suppression count exceeded its `--max-allows`
-    /// budget — the allowlist must ratchet down, never grow.
+    /// A per-rule suppression count exceeded its [`BUDGETS`](crate::report::BUDGETS) entry —
+    /// the allowlist must ratchet down, never grow.
     SuppressionBudget,
     /// A `simlint:` directive that is malformed, names an unknown rule,
     /// or omits its justification.
@@ -49,18 +38,14 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The stable kebab-case rule name used in findings, suppression
-    /// comments and the baseline file.
+    /// The stable kebab-case rule name used in findings and suppression
+    /// comments.
     pub fn name(self) -> &'static str {
         match self {
             Rule::UnitHygiene => "unit-hygiene",
-            Rule::Determinism => "determinism",
-            Rule::PanicPolicy => "panic-policy",
-            Rule::EventCompleteness => "event-completeness",
             Rule::FloatEq => "float-eq",
             Rule::ShardSafety => "shard-safety",
             Rule::RngDiscipline => "rng-discipline",
-            Rule::MatchExhaustive => "match-exhaustive",
             Rule::SuppressionBudget => "suppression-budget",
             Rule::BadSuppression => "bad-suppression",
         }
@@ -70,13 +55,9 @@ impl Rule {
     pub fn from_name(name: &str) -> Option<Rule> {
         Some(match name {
             "unit-hygiene" => Rule::UnitHygiene,
-            "determinism" => Rule::Determinism,
-            "panic-policy" => Rule::PanicPolicy,
-            "event-completeness" => Rule::EventCompleteness,
             "float-eq" => Rule::FloatEq,
             "shard-safety" => Rule::ShardSafety,
             "rng-discipline" => Rule::RngDiscipline,
-            "match-exhaustive" => Rule::MatchExhaustive,
             "suppression-budget" => Rule::SuppressionBudget,
             "bad-suppression" => Rule::BadSuppression,
             _ => return None,
@@ -84,15 +65,11 @@ impl Rule {
     }
 
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 6] = [
         Rule::UnitHygiene,
-        Rule::Determinism,
-        Rule::PanicPolicy,
-        Rule::EventCompleteness,
         Rule::FloatEq,
         Rule::ShardSafety,
         Rule::RngDiscipline,
-        Rule::MatchExhaustive,
         Rule::SuppressionBudget,
         Rule::BadSuppression,
     ];
@@ -101,8 +78,7 @@ impl Rule {
 /// One source file to lint.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Workspace-relative path with forward slashes (used in findings
-    /// and the baseline).
+    /// Workspace-relative path with forward slashes (used in findings).
     pub rel_path: String,
     /// Short crate name (`radio`, `mac`, `core`, `sim`, `experiments`,
     /// `lint`, `comap`) controlling which rules apply.
@@ -122,23 +98,8 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// The trimmed source line, for context and baseline keying.
+    /// The trimmed source line, for context.
     pub snippet: String,
-}
-
-impl Finding {
-    /// The baseline key: rule, file and whitespace-normalized snippet.
-    /// Line numbers are deliberately excluded so unrelated edits above a
-    /// grandfathered finding do not invalidate the baseline.
-    pub fn baseline_key(&self) -> String {
-        let normalized: Vec<&str> = self.snippet.split_whitespace().collect();
-        format!(
-            "{}\t{}\t{}",
-            self.rule.name(),
-            self.file,
-            normalized.join(" ")
-        )
-    }
 }
 
 /// Aggregate result of linting a file set.
@@ -159,19 +120,11 @@ pub struct LintOutcome {
 
 /// Crates whose public functions the unit-hygiene rule covers.
 const UNIT_HYGIENE_CRATES: [&str; 2] = ["radio", "sim"];
-/// Crates that must stay bit-deterministic.
-const DETERMINISM_CRATES: [&str; 3] = ["sim", "mac", "core"];
 /// Crates the sharded engine will run in parallel: all state reachable
 /// from a region shard must be `Send` by construction.
 const SHARD_SAFETY_CRATES: [&str; 4] = ["sim", "mac", "core", "radio"];
 /// Crates whose hot paths must not consume a sequential RNG stream.
 const RNG_DISCIPLINE_CRATES: [&str; 3] = ["sim", "mac", "core"];
-/// The crate holding the `SimEvent` enum and its emission sites.
-const EVENT_CRATE: &str = "sim";
-/// Crates whose `SimEvent` dispatches must stay exhaustive.
-const MATCH_CRATES: [&str; 2] = ["sim", "experiments"];
-/// The enum whose variants event-completeness audits.
-const EVENT_ENUM: &str = "SimEvent";
 /// The sequential RNG type rng-discipline tracks.
 const SEQ_RNG: &str = "StdRng";
 /// Method names that consume a sequential RNG stream.
@@ -211,8 +164,6 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
         ..LintOutcome::default()
     };
     let mut raw: Vec<Finding> = Vec::new();
-    let mut decl: Option<EventDecl> = None;
-    let mut constructed: Vec<String> = Vec::new();
 
     let mut lexed_files: Vec<(usize, Lexed)> = Vec::new();
     for (idx, file) in files.iter().enumerate() {
@@ -222,16 +173,9 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
     for (idx, lexed) in &lexed_files {
         let file = &files[*idx];
         let model = FileModel::parse(lexed);
-        check_panic_policy(file, lexed, &mut raw);
-        if DETERMINISM_CRATES.contains(&file.crate_name.as_str()) {
-            check_determinism(file, lexed, &mut raw);
-        }
         check_float_eq(file, lexed, &mut raw);
         if UNIT_HYGIENE_CRATES.contains(&file.crate_name.as_str()) {
             check_unit_hygiene(file, lexed, &model, &mut raw);
-        }
-        if MATCH_CRATES.contains(&file.crate_name.as_str()) {
-            check_match_exhaustive(file, lexed, &model, &mut raw);
         }
         if SHARD_SAFETY_CRATES.contains(&file.crate_name.as_str()) {
             check_shard_safety(file, lexed, &model, &mut raw);
@@ -243,28 +187,6 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
         for d in &lexed.directives {
             if d.well_formed && d.has_reason && Rule::from_name(&d.rule).is_some() {
                 *outcome.allow_directives.entry(d.rule.clone()).or_insert(0) += 1;
-            }
-        }
-        if file.crate_name == EVENT_CRATE {
-            if let Some(d) = find_event_decl(file, lexed, &model) {
-                decl = Some(d);
-            }
-            collect_event_constructions(lexed, &mut constructed);
-        }
-    }
-
-    if let Some(decl) = decl {
-        for (variant, line, snippet) in &decl.variants {
-            if !constructed.iter().any(|v| v == variant) {
-                raw.push(Finding {
-                    rule: Rule::EventCompleteness,
-                    file: decl.file.clone(),
-                    line: *line,
-                    message: format!(
-                        "`{EVENT_ENUM}::{variant}` is declared but never emitted by the simulator"
-                    ),
-                    snippet: snippet.clone(),
-                });
             }
         }
     }
@@ -315,76 +237,6 @@ fn push(file: &SourceFile, rule: Rule, line: u32, message: String, out: &mut Vec
         message,
         snippet: snippet_at(file, line),
     });
-}
-
-/// panic-policy: `.unwrap()`, `.expect(`, `panic!`, `todo!` outside
-/// `#[cfg(test)]` regions. `assert!`/`debug_assert!`/`unreachable!` are
-/// deliberately exempt — they state invariants rather than skip error
-/// handling.
-fn check_panic_policy(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if lexed.in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-        let next_paren = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-        let next_bang = toks.get(i + 1).is_some_and(|n| n.is_punct("!"));
-        let call = match t.text.as_str() {
-            "unwrap" if prev_dot && next_paren => Some("`.unwrap()`"),
-            "expect" if prev_dot && next_paren => Some("`.expect(..)`"),
-            "panic" if next_bang => Some("`panic!`"),
-            "todo" if next_bang => Some("`todo!`"),
-            _ => None,
-        };
-        if let Some(call) = call {
-            push(
-                file,
-                Rule::PanicPolicy,
-                t.line,
-                format!(
-                    "{call} in library code — return a typed error (e.g. via comap-core::error) \
-                     or justify the invariant with `simlint: allow(panic-policy)`"
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// determinism: unordered containers, wall clocks and thread-local RNG
-/// are banned from the crates whose runs must be bit-reproducible.
-fn check_determinism(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if lexed.in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let clock_now = |name: &str| {
-            t.is_ident(name)
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("now"))
-        };
-        let message = if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            Some(format!(
-                "`{}` has a non-deterministic iteration order — use BTreeMap/BTreeSet \
-                 or an index-keyed slab",
-                t.text
-            ))
-        } else if clock_now("Instant") || clock_now("SystemTime") {
-            Some(format!(
-                "`{}::now()` reads the wall clock inside a deterministic simulation crate",
-                t.text
-            ))
-        } else if t.is_ident("thread_rng") {
-            Some("`thread_rng()` is thread-local and unseeded — thread the simulation RNG through instead".to_string())
-        } else {
-            None
-        };
-        if let Some(message) = message {
-            push(file, Rule::Determinism, t.line, message, out);
-        }
-    }
 }
 
 /// float-eq: `==`/`!=` where either operand is a float literal.
@@ -452,46 +304,6 @@ fn check_unit_hygiene(file: &SourceFile, lexed: &Lexed, model: &FileModel, out: 
                     format!(
                         "public parameter `{}: f64` carries a physical unit — take `{}` instead",
                         p.name, suggestion
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// match-exhaustive: a `match` whose arms dispatch on `SimEvent`
-/// variants must not use a wildcard arm — observers and dispatchers
-/// must make a conscious decision when the event taxonomy grows. Type
-/// evidence comes from the parsed arm patterns (`SimEvent::Variant`),
-/// not from scrutinee-name heuristics.
-fn check_match_exhaustive(
-    file: &SourceFile,
-    lexed: &Lexed,
-    model: &FileModel,
-    out: &mut Vec<Finding>,
-) {
-    for m in &model.matches {
-        if lexed.in_test[m.kw_idx] {
-            continue;
-        }
-        let arm_evidence = m
-            .arms
-            .iter()
-            .any(|a| model.range_mentions_path(a.pat, EVENT_ENUM));
-        if !arm_evidence {
-            continue;
-        }
-        for arm in &m.arms {
-            if model.arm_is_wildcard(arm) {
-                push(
-                    file,
-                    Rule::MatchExhaustive,
-                    arm.line,
-                    format!(
-                        "wildcard arm in a `match` over `{EVENT_ENUM}` — name every variant \
-                         this site dispatches on (a new event must force a decision here), \
-                         or justify the projection with `simlint: allow(match-exhaustive)`"
                     ),
                     out,
                 );
@@ -593,7 +405,7 @@ fn is_constructor(name: &str) -> bool {
 /// counter-based keyed streams (`comap_radio::stream`'s
 /// `(seed, ident, counter)` pattern, DESIGN.md §11). The migration is
 /// complete: the suppression budget is 0, so any new sequential draw
-/// is a hard failure (see `--max-allows`).
+/// is a hard failure (see [`BUDGETS`](crate::report::BUDGETS)).
 fn check_rng_discipline(
     file: &SourceFile,
     lexed: &Lexed,
@@ -765,80 +577,6 @@ fn check_directives(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
 }
 
-/// The parsed `SimEvent` declaration.
-#[derive(Debug)]
-struct EventDecl {
-    file: String,
-    /// `(variant, line, snippet)` triples.
-    variants: Vec<(String, u32, String)>,
-}
-
-/// Finds `enum SimEvent { ... }` in `file` via the item model.
-fn find_event_decl(file: &SourceFile, lexed: &Lexed, model: &FileModel) -> Option<EventDecl> {
-    let decl = model
-        .enums()
-        .into_iter()
-        .find(|e| e.name == EVENT_ENUM && !lexed.in_test[e.kw_idx])?;
-    if decl.variants.is_empty() {
-        return None;
-    }
-    Some(EventDecl {
-        file: file.rel_path.clone(),
-        variants: decl
-            .variants
-            .iter()
-            .map(|(name, line)| (name.clone(), *line, snippet_at(file, *line)))
-            .collect(),
-    })
-}
-
-/// Collects `SimEvent::Variant` *construction* sites (match arms and
-/// other patterns do not count as emissions).
-fn collect_event_constructions(lexed: &Lexed, out: &mut Vec<String>) {
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if lexed.in_test[i]
-            || !toks[i].is_ident(EVENT_ENUM)
-            || !toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-        {
-            continue;
-        }
-        let Some(variant) = toks.get(i + 2).filter(|t| t.kind == TokKind::Ident) else {
-            continue;
-        };
-        let mut j = i + 3;
-        let mut wildcard_body = false;
-        if toks
-            .get(j)
-            .is_some_and(|t| t.is_punct("{") || t.is_punct("("))
-        {
-            let open = j;
-            let mut depth = 0i32;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("{") || t.is_punct("(") {
-                    depth += 1;
-                } else if t.is_punct("}") || t.is_punct(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            // `Variant { .. }` is always a pattern.
-            wildcard_body = j == open + 2 && toks.get(open + 1).is_some_and(|t| t.is_punct(".."));
-            j += 1;
-        }
-        let next = toks.get(j);
-        let is_pattern = wildcard_body
-            || matches!(next, Some(n) if n.is_punct("=>") || n.is_punct("|") || n.is_punct("="));
-        if !is_pattern {
-            out.push(variant.text.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,26 +591,6 @@ mod tests {
 
     fn rules_of(outcome: &LintOutcome) -> Vec<(Rule, u32)> {
         outcome.findings.iter().map(|f| (f.rule, f.line)).collect()
-    }
-
-    #[test]
-    fn panic_policy_flags_and_suppresses() {
-        let src = "fn a() { x.unwrap(); }\n\
-                   // simlint: allow(panic-policy) — invariant: y is always present\n\
-                   fn b() { y.expect(\"present\"); }\n";
-        let out = lint_files(&[file("core", "crates/core/src/x.rs", src)]);
-        assert_eq!(rules_of(&out), vec![(Rule::PanicPolicy, 1)]);
-        assert_eq!(out.suppressed, 1);
-        assert_eq!(out.allow_directives.get("panic-policy"), Some(&1));
-    }
-
-    #[test]
-    fn determinism_scoped_to_sim_mac_core() {
-        let src = "use std::collections::HashMap;\n";
-        let flagged = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
-        assert_eq!(rules_of(&flagged), vec![(Rule::Determinism, 1)]);
-        let unflagged = lint_files(&[file("experiments", "crates/experiments/src/x.rs", src)]);
-        assert!(unflagged.findings.is_empty());
     }
 
     #[test]
@@ -897,39 +615,6 @@ mod tests {
         let src = "pub fn g<F: Fn(u32) -> u64>(cb: F, dist: f64) {}\n";
         let out = lint_files(&[file("radio", "crates/radio/src/x.rs", src)]);
         assert_eq!(rules_of(&out), vec![(Rule::UnitHygiene, 1)]);
-    }
-
-    #[test]
-    fn event_completeness_counts_constructions_not_patterns() {
-        let decl = "pub enum SimEvent {\n    Used { n: u32 },\n    Orphan { n: u32 },\n    BareOrphan,\n}\n";
-        let emit = "fn e() -> SimEvent { SimEvent::Used { n: 0 } }\n\
-                    fn m(e: &SimEvent) -> u32 { match e { SimEvent::Orphan { .. } => 1, _ => 0 } }\n";
-        let out = lint_files(&[
-            file("sim", "crates/sim/src/observe.rs", decl),
-            file("sim", "crates/sim/src/mac.rs", emit),
-        ]);
-        let names: Vec<&str> = out
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::EventCompleteness)
-            .map(|f| f.message.split('`').nth(1).unwrap_or(""))
-            .collect();
-        assert_eq!(names, vec!["SimEvent::Orphan", "SimEvent::BareOrphan"]);
-    }
-
-    #[test]
-    fn match_exhaustive_flags_event_projections() {
-        let src = "fn f(e: &SimEvent) -> u32 {\n\
-                   \x20   match *e {\n\
-                   \x20       SimEvent::TxBegin { .. } => 1,\n\
-                   \x20       _ => 0,\n\
-                   \x20   }\n\
-                   }\n";
-        let flagged = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
-        assert_eq!(rules_of(&flagged), vec![(Rule::MatchExhaustive, 4)]);
-        // Out-of-scope crates are not audited.
-        let unflagged = lint_files(&[file("core", "crates/core/src/x.rs", src)]);
-        assert!(unflagged.findings.is_empty());
     }
 
     #[test]
@@ -1003,8 +688,8 @@ mod tests {
 
     #[test]
     fn test_modules_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); assert!(1.0 == 1.0); }\n}\n";
-        let out = lint_files(&[file("core", "crates/core/src/x.rs", src)]);
+        let src = "#[cfg(test)]\nmod tests {\n    use std::rc::Rc;\n    fn t() { assert!(1.0 == 1.0); }\n}\n";
+        let out = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }
 }

@@ -1,15 +1,14 @@
-//! Brace-matched token trees and the item-level source model.
+//! Delimiter matching and the item-level source model.
 //!
-//! The PR-4 rules ran directly on the flat token stream, which is
-//! precise enough for "this identifier is banned" but not for anything
-//! structural: match arms, function signatures, struct fields. This
-//! module adds the missing layer without pulling in `syn` (the vendor
-//! tree has none): [`build`] pairs every `(`/`[`/`{` with its closing
-//! delimiter, and [`FileModel::parse`] resolves the item skeleton on
-//! top — `fn` signatures (name, visibility, parsed parameter list,
-//! body range), `impl` and `mod` nesting, `struct` fields, `enum`
-//! variants, `use` paths, every `match` expression with its parsed
-//! arms, and an on-demand per-function `let`-binding scan.
+//! The flat token stream is precise enough for "this identifier is
+//! banned" but not for anything structural: function signatures, struct
+//! fields, `let` bindings. This module adds the missing layer without
+//! pulling in `syn` (the vendor tree has none): [`partners`] pairs every
+//! `(`/`[`/`{` with its closing delimiter, and [`FileModel::parse`]
+//! resolves the item skeleton on top — `fn` signatures (name,
+//! visibility, parsed parameter list, body range), `impl` and `mod`
+//! nesting, `struct` fields, and an on-demand per-function
+//! `let`-binding scan.
 //!
 //! The model is deliberately shallow: it resolves exactly as much
 //! structure as the rules in [`crate::rules`] consume, and it is
@@ -20,12 +19,9 @@ use crate::lexer::{Lexed, TokKind, Token};
 
 /// One delimiter family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delim {
-    /// `(` … `)`
+enum Delim {
     Paren,
-    /// `[` … `]`
     Bracket,
-    /// `{` … `}`
     Brace,
 }
 
@@ -49,87 +45,31 @@ impl Delim {
     }
 }
 
-/// One node of the token tree: a plain token or a delimited group.
-#[derive(Debug)]
-pub enum Tree {
-    /// Index of a non-delimiter token.
-    Leaf(usize),
-    /// A delimited group; `open`/`close` are the delimiter token
-    /// indices (`close == open` when the group never closed).
-    Group {
-        /// Which delimiter family opened the group.
-        delim: Delim,
-        /// Token index of the opening delimiter.
-        open: usize,
-        /// Token index of the closing delimiter.
-        close: usize,
-        /// Children, in source order.
-        children: Vec<Tree>,
-    },
-}
-
-/// Builds the token forest and the partner table for `tokens`:
-/// `partner[open] == close` and `partner[close] == open` for every
-/// matched delimiter pair, `partner[i] == i` everywhere else.
-pub fn build(tokens: &[Token]) -> (Vec<Tree>, Vec<usize>) {
+/// Builds the partner table for `tokens`: `partner[open] == close` and
+/// `partner[close] == open` for every matched delimiter pair,
+/// `partner[i] == i` everywhere else. The table is tolerant: a closer
+/// with no opener of its family is dropped, a closer also closes any
+/// unclosed groups of other families inside it (which stay unpaired),
+/// and groups still open at end-of-file stay unpaired.
+pub fn partners(tokens: &[Token]) -> Vec<usize> {
     let mut partner: Vec<usize> = (0..tokens.len()).collect();
-    let mut stack: Vec<(Delim, usize, Vec<Tree>)> = Vec::new();
-    let mut top: Vec<Tree> = Vec::new();
+    let mut stack: Vec<(Delim, usize)> = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
         if t.kind != TokKind::Punct {
-            current(&mut stack, &mut top).push(Tree::Leaf(i));
             continue;
         }
         if let Some(d) = Delim::of_open(&t.text) {
-            stack.push((d, i, Vec::new()));
+            stack.push((d, i));
         } else if let Some(d) = Delim::of_close(&t.text) {
-            // Close the innermost frame of the same family; tolerate
-            // stray closers and mismatches by closing what is open.
-            if stack.iter().any(|(fd, _, _)| *fd == d) {
-                while let Some((fd, open, children)) = stack.pop() {
-                    let close = if fd == d { i } else { open };
-                    if fd == d {
-                        partner[open] = i;
-                        partner[i] = open;
-                    }
-                    let group = Tree::Group {
-                        delim: fd,
-                        open,
-                        close,
-                        children,
-                    };
-                    current(&mut stack, &mut top).push(group);
-                    if fd == d {
-                        break;
-                    }
-                }
+            if let Some(pos) = stack.iter().rposition(|&(open_d, _)| open_d == d) {
+                let open = stack[pos].1;
+                stack.truncate(pos);
+                partner[open] = i;
+                partner[i] = open;
             }
-            // A closer with no matching opener is dropped.
-        } else {
-            current(&mut stack, &mut top).push(Tree::Leaf(i));
         }
     }
-    // Unclosed groups at EOF collapse upward.
-    while let Some((delim, open, children)) = stack.pop() {
-        let group = Tree::Group {
-            delim,
-            open,
-            close: open,
-            children,
-        };
-        current(&mut stack, &mut top).push(group);
-    }
-    (top, partner)
-}
-
-fn current<'a>(
-    stack: &'a mut [(Delim, usize, Vec<Tree>)],
-    top: &'a mut Vec<Tree>,
-) -> &'a mut Vec<Tree> {
-    match stack.last_mut() {
-        Some((_, _, children)) => children,
-        None => top,
-    }
+    partner
 }
 
 /// A half-open token index range `[start, end)`.
@@ -185,17 +125,6 @@ pub struct StructItem {
     pub fields: Vec<Field>,
 }
 
-/// One parsed `enum` item.
-#[derive(Debug)]
-pub struct EnumItem {
-    /// The enum name.
-    pub name: String,
-    /// Token index of the `enum` keyword.
-    pub kw_idx: usize,
-    /// `(variant name, line)` pairs in declaration order.
-    pub variants: Vec<(String, u32)>,
-}
-
 /// One item in the resolved skeleton.
 #[derive(Debug)]
 pub enum Item {
@@ -203,39 +132,10 @@ pub enum Item {
     Fn(FnItem),
     /// A struct declaration.
     Struct(StructItem),
-    /// An enum declaration.
-    Enum(EnumItem),
     /// An `impl` block; children are its items.
     Impl(Vec<Item>),
     /// A `mod name { … }` block; children are its items.
     Mod(Vec<Item>),
-    /// A `use` declaration, path joined without whitespace.
-    Use {
-        /// The joined path text (`std::rc::Rc`, braces flattened out).
-        path: String,
-        /// 1-based line of the `use` keyword.
-        line: u32,
-    },
-}
-
-/// One parsed match arm.
-#[derive(Debug)]
-pub struct Arm {
-    /// Token range of the pattern, guard excluded.
-    pub pat: Range,
-    /// Whether an `if` guard follows the pattern.
-    pub has_guard: bool,
-    /// 1-based line the pattern starts on.
-    pub line: u32,
-}
-
-/// One parsed `match` expression.
-#[derive(Debug)]
-pub struct MatchExpr {
-    /// Token index of the `match` keyword.
-    pub kw_idx: usize,
-    /// Parsed arms, in order.
-    pub arms: Vec<Arm>,
 }
 
 /// The fully resolved model of one lexed file.
@@ -243,26 +143,22 @@ pub struct MatchExpr {
 pub struct FileModel<'a> {
     /// The underlying token stream.
     pub tokens: &'a [Token],
-    /// Delimiter partner table (see [`build`]).
+    /// Delimiter partner table (see [`partners`]).
     pub partner: Vec<usize>,
     /// The item skeleton (top level; `impl`/`mod` nest inside).
     pub items: Vec<Item>,
-    /// Every `match` expression in the file, in source order.
-    pub matches: Vec<MatchExpr>,
 }
 
 impl<'a> FileModel<'a> {
-    /// Parses the item skeleton and all match expressions of `lexed`.
+    /// Parses the item skeleton of `lexed`.
     pub fn parse(lexed: &'a Lexed) -> FileModel<'a> {
         let tokens = &lexed.tokens;
-        let (_, partner) = build(tokens);
+        let partner = partners(tokens);
         let items = parse_items(tokens, &partner, 0, tokens.len());
-        let matches = parse_matches(tokens, &partner);
         FileModel {
             tokens,
             partner,
             items,
-            matches,
         }
     }
 
@@ -277,20 +173,6 @@ impl<'a> FileModel<'a> {
     pub fn structs(&self) -> Vec<&StructItem> {
         let mut out = Vec::new();
         collect_structs(&self.items, &mut out);
-        out
-    }
-
-    /// Every enum in the file, nesting flattened.
-    pub fn enums(&self) -> Vec<&EnumItem> {
-        let mut out = Vec::new();
-        collect_enums(&self.items, &mut out);
-        out
-    }
-
-    /// Every `use` path in the file, nesting flattened.
-    pub fn use_paths(&self) -> Vec<(&str, u32)> {
-        let mut out = Vec::new();
-        collect_uses(&self.items, &mut out);
         out
     }
 
@@ -370,47 +252,6 @@ impl<'a> FileModel<'a> {
         }
         out
     }
-
-    /// `true` when `range` contains the path prefix `name::` anywhere
-    /// (any nesting depth).
-    pub fn range_mentions_path(&self, range: Range, name: &str) -> bool {
-        let end = range.1.min(self.tokens.len());
-        (range.0..end).any(|i| {
-            self.tokens[i].is_ident(name)
-                && self.tokens.get(i + 1).is_some_and(|t| t.is_punct("::"))
-        })
-    }
-
-    /// `true` when the arm's pattern has a bare `_` as one of its
-    /// top-level `|` alternatives (field wildcards like `seq: _` and
-    /// rest patterns `..` do not count).
-    pub fn arm_is_wildcard(&self, arm: &Arm) -> bool {
-        let toks = self.tokens;
-        let end = arm.pat.1.min(toks.len());
-        let mut alt: Vec<usize> = Vec::new();
-        let mut i = arm.pat.0;
-        let mut wildcard = false;
-        let flush = |alt: &mut Vec<usize>| {
-            if alt.len() == 1 && toks[alt[0]].is_ident("_") {
-                return true;
-            }
-            alt.clear();
-            false
-        };
-        while i < end {
-            if toks[i].is_punct("|") {
-                wildcard |= flush(&mut alt);
-                alt.clear();
-            } else {
-                alt.push(i);
-                if self.partner[i] > i {
-                    i = self.partner[i];
-                }
-            }
-            i += 1;
-        }
-        wildcard | flush(&mut alt)
-    }
 }
 
 /// One `let` binding found by [`FileModel::let_bindings`].
@@ -446,30 +287,10 @@ fn collect_structs<'a>(items: &'a [Item], out: &mut Vec<&'a StructItem>) {
     }
 }
 
-fn collect_enums<'a>(items: &'a [Item], out: &mut Vec<&'a EnumItem>) {
-    for item in items {
-        match item {
-            Item::Enum(e) => out.push(e),
-            Item::Impl(children) | Item::Mod(children) => collect_enums(children, out),
-            _ => {}
-        }
-    }
-}
-
-fn collect_uses<'a>(items: &'a [Item], out: &mut Vec<(&'a str, u32)>) {
-    for item in items {
-        match item {
-            Item::Use { path, line } => out.push((path, *line)),
-            Item::Impl(children) | Item::Mod(children) => collect_uses(children, out),
-            _ => {}
-        }
-    }
-}
-
 /// Parses one item level: the token range `[start, end)` must sit at a
 /// single nesting depth (the whole file, a `mod` body, an `impl`
 /// body). Function bodies are *not* descended into — statements are
-/// not items (matches are collected separately; `let`s on demand).
+/// not items (`let`s are scanned on demand).
 fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) -> Vec<Item> {
     let mut items = Vec::new();
     let mut i = start;
@@ -488,11 +309,6 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
             continue;
         }
         match t.text.as_str() {
-            "use" => {
-                let (path, next) = join_use_path(tokens, partner, i + 1, end);
-                items.push(Item::Use { path, line: t.line });
-                i = next;
-            }
             "mod" => {
                 if let Some((name_idx, open)) = named_block(tokens, partner, i, end) {
                     let _ = name_idx;
@@ -523,13 +339,6 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
                 let (item, next) = parse_struct(tokens, partner, i, end);
                 if let Some(s) = item {
                     items.push(Item::Struct(s));
-                }
-                i = next;
-            }
-            "enum" => {
-                let (item, next) = parse_enum(tokens, partner, i, end);
-                if let Some(e) = item {
-                    items.push(Item::Enum(e));
                 }
                 i = next;
             }
@@ -586,29 +395,6 @@ fn next_brace(tokens: &[Token], partner: &[usize], mut i: usize, end: usize) -> 
         i += 1;
     }
     None
-}
-
-/// Joins the `use` path tokens into one string and returns the index
-/// past the terminating `;`.
-fn join_use_path(tokens: &[Token], partner: &[usize], mut i: usize, end: usize) -> (String, usize) {
-    let mut path = String::new();
-    while i < end.min(tokens.len()) {
-        let t = &tokens[i];
-        if t.is_punct(";") {
-            return (path, i + 1);
-        }
-        if t.is_punct("{") && partner[i] > i {
-            // Flatten grouped imports: keep the inner text verbatim.
-            for inner in &tokens[i + 1..partner[i]] {
-                path.push_str(&inner.text);
-            }
-            i = partner[i] + 1;
-            continue;
-        }
-        path.push_str(&t.text);
-        i += 1;
-    }
-    (path, i)
 }
 
 /// Parses `fn name <generics?> (params) -> ret? { body }?` starting at
@@ -869,150 +655,6 @@ fn parse_field(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
     })
 }
 
-/// Parses `enum Name { A, B(T), C { … } }` variants.
-fn parse_enum(
-    tokens: &[Token],
-    partner: &[usize],
-    kw: usize,
-    end: usize,
-) -> (Option<EnumItem>, usize) {
-    let Some(name_tok) = tokens.get(kw + 1).filter(|t| t.kind == TokKind::Ident) else {
-        return (None, kw + 1);
-    };
-    let Some(open) = next_brace(tokens, partner, kw + 2, end) else {
-        return (None, kw + 2);
-    };
-    let close = partner[open];
-    let mut variants = Vec::new();
-    let mut i = open + 1;
-    let mut expect_variant = true;
-    while i < close {
-        let t = &tokens[i];
-        if t.is_punct("#") && tokens.get(i + 1).is_some_and(|n| n.is_punct("[")) {
-            i = partner[i + 1].max(i + 1) + 1;
-            continue;
-        }
-        if t.is_punct(",") {
-            expect_variant = true;
-            i += 1;
-            continue;
-        }
-        if expect_variant && t.kind == TokKind::Ident {
-            variants.push((t.text.clone(), t.line));
-            expect_variant = false;
-        }
-        if partner[i] > i {
-            i = partner[i];
-        }
-        i += 1;
-    }
-    (
-        Some(EnumItem {
-            name: name_tok.text.clone(),
-            kw_idx: kw,
-            variants,
-        }),
-        close + 1,
-    )
-}
-
-/// Collects every `match` expression with its parsed arms.
-fn parse_matches(tokens: &[Token], partner: &[usize]) -> Vec<MatchExpr> {
-    let mut out = Vec::new();
-    for kw in 0..tokens.len() {
-        if !tokens[kw].is_ident("match") {
-            continue;
-        }
-        // Scrutinee: everything up to the first `{` at this level.
-        let mut j = kw + 1;
-        let mut body_open = None;
-        while j < tokens.len() {
-            if tokens[j].is_punct("{") && partner[j] > j {
-                body_open = Some(j);
-                break;
-            }
-            if tokens[j].is_punct(";") || tokens[j].is_punct("}") {
-                break; // not a match expression after all
-            }
-            if partner[j] > j {
-                j = partner[j];
-            }
-            j += 1;
-        }
-        let Some(open) = body_open else { continue };
-        let close = partner[open];
-        out.push(MatchExpr {
-            kw_idx: kw,
-            arms: parse_arms(tokens, partner, open + 1, close),
-        });
-    }
-    out
-}
-
-/// Parses the arms inside a match body range.
-fn parse_arms(tokens: &[Token], partner: &[usize], start: usize, end: usize) -> Vec<Arm> {
-    let mut arms = Vec::new();
-    let mut i = start;
-    while i < end.min(tokens.len()) {
-        // Skip arm attributes.
-        while i < end
-            && tokens[i].is_punct("#")
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct("["))
-        {
-            i = partner[i + 1].max(i + 1) + 1;
-        }
-        if i >= end {
-            break;
-        }
-        let pat_start = i;
-        let mut guard = None;
-        let mut arrow = None;
-        let mut j = i;
-        while j < end {
-            let t = &tokens[j];
-            if t.is_punct("=>") {
-                arrow = Some(j);
-                break;
-            }
-            if t.is_ident("if") && guard.is_none() {
-                guard = Some(j);
-            }
-            if partner[j] > j {
-                j = partner[j];
-            }
-            j += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let pat_end = guard.unwrap_or(arrow);
-        arms.push(Arm {
-            pat: (pat_start, pat_end),
-            has_guard: guard.is_some(),
-            line: tokens[pat_start].line,
-        });
-        // Arm body: a brace group, or tokens up to the top-level comma.
-        let mut k = arrow + 1;
-        if k < end && tokens[k].is_punct("{") && partner[k] > k {
-            k = partner[k] + 1;
-            if k < end && tokens[k].is_punct(",") {
-                k += 1;
-            }
-        } else {
-            while k < end {
-                if tokens[k].is_punct(",") {
-                    k += 1;
-                    break;
-                }
-                if partner[k] > k {
-                    k = partner[k];
-                }
-                k += 1;
-            }
-        }
-        i = k;
-    }
-    arms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,7 +663,7 @@ mod tests {
     #[test]
     fn partner_table_pairs_delimiters() {
         let lexed = lex("fn f(a: u32) { g([1, 2]); }");
-        let (_, partner) = build(&lexed.tokens);
+        let partner = partners(&lexed.tokens);
         for (i, t) in lexed.tokens.iter().enumerate() {
             if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
                 assert!(partner[i] > i, "opener {i} unpaired");
@@ -1034,7 +676,7 @@ mod tests {
     fn unbalanced_input_does_not_panic() {
         for src in ["fn f( {", "}}}", "fn f) { ]"] {
             let lexed = lex(src);
-            let (_, partner) = build(&lexed.tokens);
+            let partner = partners(&lexed.tokens);
             assert_eq!(partner.len(), lexed.tokens.len());
             let _ = FileModel::parse(&lexed);
         }
@@ -1068,37 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn match_arms_parse_with_guards_and_wildcards() {
-        let lexed = lex(
-            "fn f(e: E) -> u32 { match e { E::A { x: _, .. } => 1, E::B | _ => 2, _ if c() => 3, } }",
-        );
-        let model = FileModel::parse(&lexed);
-        assert_eq!(model.matches.len(), 1);
-        let m = &model.matches[0];
-        assert_eq!(m.arms.len(), 3);
-        assert!(
-            !model.arm_is_wildcard(&m.arms[0]),
-            "field `_` is not a wildcard arm"
-        );
-        assert!(
-            model.arm_is_wildcard(&m.arms[1]),
-            "`E::B | _` is a wildcard arm"
-        );
-        assert!(
-            model.arm_is_wildcard(&m.arms[2]),
-            "guarded `_` is a wildcard arm"
-        );
-        assert!(m.arms[2].has_guard);
-    }
-
-    #[test]
-    fn nested_matches_are_all_collected() {
-        let lexed = lex("fn f() { match a { X => match b { Y => 1, _ => 2 }, _ => 0 } }");
-        let model = FileModel::parse(&lexed);
-        assert_eq!(model.matches.len(), 2);
-    }
-
-    #[test]
     fn let_bindings_scan_resolves_types_and_inits() {
         let lexed = lex(
             "fn f() { let mut rng = StdRng::seed_from_u64(1); if x { let t: Foo<Item = u32> = g(); } }",
@@ -1108,24 +719,7 @@ mod tests {
         let lets = model.let_bindings(body);
         assert_eq!(lets.len(), 2);
         assert_eq!(lets[0].name, "rng");
-        assert!(model.range_mentions_path(lets[0].init, "StdRng"));
+        assert!(model.tokens[lets[0].init.0].is_ident("StdRng"));
         assert_eq!(lets[1].name, "t");
-    }
-
-    #[test]
-    fn use_paths_join() {
-        let lexed = lex("use std::rc::Rc;\nmod m { use std::cell::{Cell, RefCell}; }");
-        let model = FileModel::parse(&lexed);
-        let paths: Vec<&str> = model.use_paths().iter().map(|(p, _)| *p).collect();
-        assert_eq!(paths, vec!["std::rc::Rc", "std::cell::Cell,RefCell"]);
-    }
-
-    #[test]
-    fn enum_variants_resolve() {
-        let lexed = lex("pub enum E { A, B(u32), C { x: u8 }, }");
-        let model = FileModel::parse(&lexed);
-        let e = &model.enums()[0];
-        let names: Vec<&str> = e.variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["A", "B", "C"]);
     }
 }

@@ -3,9 +3,9 @@
 //! simlint audits *library* code: `src/` of the root crate and of every
 //! crate under `crates/`. Binaries (`src/main.rs`, `src/bin/`), tests,
 //! benches, examples and the vendored dependency stand-ins under
-//! `vendor/` are out of scope — the panic policy explicitly permits
-//! panics in executables and test code, and the vendor tree mirrors
-//! third-party APIs we do not control.
+//! `vendor/` are out of scope — the same scope as the lint block in each
+//! library root — and the vendor tree mirrors third-party APIs we do not
+//! control.
 
 use std::fs;
 use std::io;

@@ -1,12 +1,11 @@
-//! The acceptance gate from the issue: `simlint --workspace` must exit
-//! 0 on this tree with an empty baseline. This test runs the same scan
-//! the binary runs, so `cargo test` alone catches a regression even if
-//! CI's dedicated simlint step is skipped.
+//! `simlint --workspace` must exit 0 on this tree. This test runs the
+//! same scan the binary runs, so `cargo test` alone catches a regression
+//! even if CI's dedicated simlint step is skipped.
 
 use std::path::PathBuf;
 
-use comap_lint::report::{check_budgets, parse_budget, tally_allows};
-use comap_lint::{collect_sources, lint_files};
+use comap_lint::report::{check_budgets, BUDGETS};
+use comap_lint::{collect_sources, lint_files, Rule};
 
 fn workspace_root() -> PathBuf {
     // crates/lint -> crates -> workspace root.
@@ -18,7 +17,7 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_with_empty_baseline() {
+fn workspace_is_clean() {
     let root = workspace_root();
     let files = collect_sources(&root).expect("workspace sources readable");
     assert!(
@@ -35,57 +34,27 @@ fn workspace_is_clean_with_empty_baseline() {
         .collect();
     assert!(
         outcome.findings.is_empty(),
-        "workspace must lint clean with an empty baseline; findings:\n{}",
+        "workspace must lint clean; findings:\n{}",
         rendered.join("\n")
     );
 }
 
-/// The rng-discipline migration is complete: the allowlist is empty,
-/// and every budget the CI gate enforces (`--max-allows` in
-/// scripts/check.sh and ci.yml) holds at HEAD. A new sequential draw —
-/// or a new wildcard `SimEvent` arm — must be *fixed*, not suppressed;
-/// suppressing it trips this test the same way it would trip CI.
+/// The budgets are constants, not flags: shard-safety and
+/// rng-discipline allow nothing, and both hold at HEAD. A new
+/// sequential draw or non-`Send` field must be *fixed*, not suppressed.
+/// The two deliberate `SimEvent` projections (the metrics and latency
+/// sinks) are the only wildcard-arm expectations clippy may honour.
 #[test]
 fn suppression_budgets_hold_and_allowlist_is_exact() {
+    assert_eq!(
+        BUDGETS,
+        [(Rule::ShardSafety, 0), (Rule::RngDiscipline, 0)],
+        "the budgets only ratchet down"
+    );
     let root = workspace_root();
     let files = collect_sources(&root).expect("workspace sources readable");
     let outcome = lint_files(&files);
-    let tally = tally_allows(&outcome, &[]);
-
-    let rng = tally.get("rng-discipline").copied().unwrap_or_default();
-    assert_eq!(
-        rng.total(),
-        0,
-        "rng-discipline budget is 0: the 5 migration-debt sites (medium \
-         fast-fade, medium hazard-survival, mac retry backoff, mac fresh \
-         backoff, sim localization noise) are all on counter-keyed \
-         streams now — fix new sequential draws, never suppress them"
-    );
-    assert_eq!(
-        tally
-            .get("match-exhaustive")
-            .copied()
-            .unwrap_or_default()
-            .total(),
-        2,
-        "match-exhaustive projections are the two observer sinks only"
-    );
-    assert_eq!(
-        tally
-            .get("shard-safety")
-            .copied()
-            .unwrap_or_default()
-            .total(),
-        0,
-        "shard-safety has a zero budget: fix non-Send state, never suppress it"
-    );
-
-    // The exact budgets CI passes via --max-allows.
-    let budgets: Vec<_> = ["shard-safety=0", "rng-discipline=0", "match-exhaustive=2"]
-        .iter()
-        .map(|s| parse_budget(s).expect("budget spec parses"))
-        .collect();
-    let violations = check_budgets(&tally, &budgets);
+    let violations = check_budgets(&outcome, &BUDGETS);
     assert!(
         violations.is_empty(),
         "suppression budgets exceeded:\n{}",
@@ -94,6 +63,20 @@ fn suppression_budgets_hold_and_allowlist_is_exact() {
             .map(|f| f.message.as_str())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+    // Whitespace-insensitive: rustfmt splits the attribute over lines.
+    let expectations: usize = files
+        .iter()
+        .map(|f| {
+            let compact: String = f.text.split_whitespace().collect();
+            compact
+                .matches("expect(clippy::wildcard_enum_match_arm")
+                .count()
+        })
+        .sum();
+    assert_eq!(
+        expectations, 2,
+        "wildcard-arm expectations are the two observer sinks only"
     );
 }
 

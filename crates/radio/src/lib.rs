@@ -33,6 +33,20 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Library code must not panic or keep unused dependencies, and every
+// lint suppression is a reasoned `#[expect]`; clippy.toml bans wall
+// clocks and hash containers (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        unused_crate_dependencies,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo
+    )
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

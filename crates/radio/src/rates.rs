@@ -21,7 +21,7 @@ pub enum PhyStandard {
 
 /// An 802.11 b/g bit rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "each variant's name is its bit rate")]
 pub enum Rate {
     Mbps1,
     Mbps2,

@@ -88,9 +88,10 @@ impl Frame {
 
     /// On-air MPDU size in bytes.
     pub fn on_air_bytes(&self) -> u32 {
-        let payload = match self.body {
-            FrameBody::Data { payload_bytes, .. } => payload_bytes,
-            _ => 0,
+        let payload = if let FrameBody::Data { payload_bytes, .. } = self.body {
+            payload_bytes
+        } else {
+            0
         };
         self.kind().on_air_bytes(payload)
     }

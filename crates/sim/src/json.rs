@@ -109,9 +109,10 @@ impl Json {
 
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+        if let Json::Obj(fields) = self {
+            fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        } else {
+            None
         }
     }
 
@@ -121,7 +122,12 @@ impl Json {
             Json::Uint(u) => Some(u),
             // simlint: allow(float-eq) — fract() == 0.0 is the exact "is an integer" test
             Json::Num(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Some(f as u64),
-            _ => None,
+            Json::Null
+            | Json::Bool(_)
+            | Json::Num(_)
+            | Json::Str(_)
+            | Json::Arr(_)
+            | Json::Obj(_) => None,
         }
     }
 
@@ -130,31 +136,34 @@ impl Json {
         match *self {
             Json::Uint(u) => Some(u as f64),
             Json::Num(f) => Some(f),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => None,
         }
     }
 
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
+        if let Json::Str(s) = self {
+            Some(s)
+        } else {
+            None
         }
     }
 
     /// The value as a bool.
     pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
-            _ => None,
+        if let Json::Bool(b) = *self {
+            Some(b)
+        } else {
+            None
         }
     }
 
     /// The value as an array slice.
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
+        if let Json::Arr(items) = self {
+            Some(items)
+        } else {
+            None
         }
     }
 

@@ -757,7 +757,7 @@ impl Mac {
                     // Stale timer that raced a freeze; ignore.
                 }
             },
-            _ => {}
+            FlowState::Idle | FlowState::TxRts | FlowState::TxHeader | FlowState::TxData => {}
         }
     }
 
@@ -986,10 +986,13 @@ impl Mac {
         flow.traffic.refresh(ctx.now);
 
         if self.cfg.features.selective_repeat {
+            #[expect(
+                clippy::expect_used,
+                reason = "windows are created for every flow at setup; a miss is a wiring bug"
+            )]
             let window = self
                 .arq_tx
                 .get_mut(&dst)
-                // simlint: allow(panic-policy) — windows are created for every flow at setup; a miss is a wiring bug
                 .expect("ARQ window exists per flow");
             // Keep the window full.
             while window.has_room() && flow.traffic.available() >= f64::from(payload) {

@@ -1012,7 +1012,10 @@ impl Medium {
     /// wall-clock cost is accumulated for the run profiler.
     fn debug_check_ledger(&mut self) {
         if cfg!(debug_assertions) {
-            // simlint: allow(determinism) — wall clock only times the audit, never feeds sim state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall clock only times the audit, never feeds sim state"
+            )]
             let started = std::time::Instant::now();
             self.stats.ledger_checks += 1;
             let divergence = self.ledger_divergence_grains();
@@ -1050,12 +1053,15 @@ impl Medium {
     /// # Panics
     ///
     /// Panics if `tx` is not on the air.
+    #[expect(
+        clippy::panic,
+        reason = "documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly"
+    )]
     fn active(&self, tx: TxId) -> &ActiveTx {
         self.slots
             .get(tx.slot())
             .and_then(Option::as_ref)
             .filter(|a| a.id == tx)
-            // simlint: allow(panic-policy) — documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly
             .unwrap_or_else(|| panic!("transmission {tx:?} not on the air"))
     }
 
@@ -1116,7 +1122,11 @@ impl Medium {
     /// sense/announce notes. `power` is always non-zero (culled
     /// receivers are never visited); `threshold` is the frame rate's
     /// linear minimum SINR, converted once per frame by the caller.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private helper with one call site, begin's per-receiver loop; a parameter \
+                  struct would exist for that one caller"
+    )]
     fn receive_begin(
         &mut self,
         n: usize,
@@ -1395,12 +1405,15 @@ impl Medium {
             "Medium::end({tx:?}) at {now}, but the transmission is scheduled to end at {scheduled}"
         );
         let slot = tx.slot();
+        #[expect(
+            clippy::expect_used,
+            reason = "active(tx) above already proved the slot is occupied"
+        )]
         let ActiveTx {
             id,
             frame,
             mut powers,
             ..
-            // simlint: allow(panic-policy) — active(tx) above already proved the slot is occupied
         } = self.slots[slot].take().expect("checked by active()");
         self.free_slots.push(slot as u32);
         self.live -= 1;

@@ -53,7 +53,10 @@ impl RateController {
             RateController::Fixed(rate) => rate,
             // The Minstrel variant is resolved statefully by the MAC; this
             // stateless path only provides its optimistic starting point.
-            // simlint: allow(panic-policy) — Rate::all is a non-empty static table for every standard
+            #[expect(
+                clippy::expect_used,
+                reason = "Rate::all is a non-empty static table for every standard"
+            )]
             RateController::Minstrel => *Rate::all(standard).last().expect("non-empty rate set"),
             RateController::IdealSinr { margin } => {
                 let signal = channel.mean_power(src.distance_to(dst));

@@ -199,9 +199,12 @@ impl Simulator {
     /// Runs with the event-loop profiler enabled, returning the report
     /// alongside the wall-clock profile. Profiling only *times* the
     /// loop, so the report is identical to an unprofiled run.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_core(.., true) always builds a profile; a None is a wiring bug"
+    )]
     pub fn run_profiled(self, duration: SimDuration) -> (SimReport, RunProfile) {
         let (report, profile) = self.run_core(duration, true);
-        // simlint: allow(panic-policy) — run_core(.., true) always builds a profile; a None is a wiring bug
         (report, profile.expect("profiling was enabled"))
     }
 

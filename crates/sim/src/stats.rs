@@ -228,9 +228,11 @@ impl SimReport {
             );
         }
         let medium = v.get("medium").ok_or_else(malformed)?;
-        let metrics = match v.get("metrics").ok_or_else(malformed)? {
-            Json::Null => None,
-            m => Some(Metrics::from_json(m)?),
+        let metrics = v.get("metrics").ok_or_else(malformed)?;
+        let metrics = if let Json::Null = metrics {
+            None
+        } else {
+            Some(Metrics::from_json(metrics)?)
         };
         Ok(SimReport {
             duration: SimDuration::from_nanos(field(v, "duration_ns")?),

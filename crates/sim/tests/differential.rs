@@ -39,7 +39,10 @@ fn run(
     let (sink, handle) = TimelineSink::new();
     sim.attach_sink(Box::new(sink));
     sim.attach_sink(Box::new(MetricsSink::new()));
-    // simlint: allow(determinism) — wall clock only times the run for the BENCH artifact
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall clock only times the run for the BENCH artifact"
+    )]
     let started = Instant::now();
     let report = sim.run(duration);
     let nanos = started.elapsed().as_nanos() as u64;

@@ -18,14 +18,8 @@ echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> simlint --workspace (static invariants, hard gate)"
-# Suppression budgets: the rng-discipline migration is complete (all
-# five sequential-draw sites are on counter-keyed streams, DESIGN.md
-# §11) so its budget is 0 — any new sequential draw is a hard failure.
-# match-exhaustive keeps its two deliberate sink projections.
+# Suppression budgets are constants in simlint (crates/lint/src/report.rs).
 cargo run -q -p comap-lint --bin simlint -- --workspace \
-    --max-allows shard-safety=0 \
-    --max-allows rng-discipline=0 \
-    --max-allows match-exhaustive=2 \
     --json target/simlint.json
 
 echo "==> tier-1: cargo build --release"

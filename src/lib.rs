@@ -33,6 +33,21 @@
 //! PRR table → co-occurrence map) and the `comap-experiments` binaries for
 //! the paper's evaluation scenarios.
 
+// Library code must not panic or keep unused dependencies, and every
+// lint suppression is a reasoned `#[expect]`; clippy.toml bans wall
+// clocks and hash containers (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        unused_crate_dependencies,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo
+    )
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub use comap_core as core;
 pub use comap_experiments as experiments;
 pub use comap_mac as mac;
