@@ -11,8 +11,8 @@
 
 #![forbid(unsafe_code)]
 // Library code must not panic, and every lint suppression is a
-// reasoned `#[expect]`; clippy.toml bans wall clocks and hash
-// containers (DESIGN.md §10).
+// reasoned `#[expect]`; clippy.toml bans wall clocks, hash containers
+// and single-thread shared state (DESIGN.md §10).
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)

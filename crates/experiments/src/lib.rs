@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 // Library code must not panic or keep unused dependencies, and every
 // lint suppression is a reasoned `#[expect]`; clippy.toml bans wall
-// clocks and hash containers (DESIGN.md §10).
+// clocks, hash containers and single-thread shared state (DESIGN.md §10).
 #![cfg_attr(
     not(test),
     deny(

@@ -7,6 +7,8 @@ pub fn checks(x: f64, n: u32, label: &str) -> bool {
     let b = 1.5 != x;
     // VIOLATION: scientific-notation literal.
     let c = x == 1e-9;
+    // VIOLATION: negative literal on the right (lexed as `-`, `1.0`).
+    let h = x == -1.0;
     // OK: integer comparison.
     let d = n == 0;
     // OK: ordering comparisons are fine.
@@ -16,7 +18,7 @@ pub fn checks(x: f64, n: u32, label: &str) -> bool {
     // OK (suppressed): exact sentinel comparison.
     // simlint: allow(float-eq) — 0.0 is an exact sentinel set by the caller
     let g = x == 0.0;
-    a || b || c || d || e || f || g
+    a || b || c || d || e || f || g || h
 }
 
 pub struct P(pub u128);

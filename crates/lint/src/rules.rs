@@ -2,16 +2,14 @@
 //!
 //! Each rule is a pure function from lexed source (plus the
 //! [`crate::tree`] item model) to [`Finding`]s. Rules are scoped per
-//! crate (see the scoping constants below) and every finding can be
+//! crate (`UNIT_HYGIENE_CRATES`) and every finding can be
 //! suppressed with a `// simlint: allow(<rule>) — <reason>` comment on
 //! the same line or within the two lines above it. The suppression
 //! *requires* a reason — a bare `allow` is itself reported via
 //! [`Rule::BadSuppression`].
 
-use std::collections::BTreeMap;
-
 use crate::lexer::{lex, Lexed, TokKind};
-use crate::tree::{FileModel, FnItem, Range};
+use crate::tree::FileModel;
 
 /// The named rules simlint enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -21,17 +19,6 @@ pub enum Rule {
     UnitHygiene,
     /// No `==`/`!=` against floating-point literals.
     FloatEq,
-    /// No shared-mutable / non-`Send` state (`Rc`, `RefCell`, `Cell`,
-    /// `static mut`, `thread_local!`, raw-pointer fields) in the crates
-    /// the sharded engine will run in parallel.
-    ShardSafety,
-    /// No sequential `StdRng` draws in hot-path simulation code — use
-    /// the counter-based keyed streams (PR 7) so per-region shards
-    /// never share a mutable RNG stream.
-    RngDiscipline,
-    /// A per-rule suppression count exceeded its [`BUDGETS`](crate::report::BUDGETS) entry —
-    /// the allowlist must ratchet down, never grow.
-    SuppressionBudget,
     /// A `simlint:` directive that is malformed, names an unknown rule,
     /// or omits its justification.
     BadSuppression,
@@ -44,9 +31,6 @@ impl Rule {
         match self {
             Rule::UnitHygiene => "unit-hygiene",
             Rule::FloatEq => "float-eq",
-            Rule::ShardSafety => "shard-safety",
-            Rule::RngDiscipline => "rng-discipline",
-            Rule::SuppressionBudget => "suppression-budget",
             Rule::BadSuppression => "bad-suppression",
         }
     }
@@ -56,23 +40,10 @@ impl Rule {
         Some(match name {
             "unit-hygiene" => Rule::UnitHygiene,
             "float-eq" => Rule::FloatEq,
-            "shard-safety" => Rule::ShardSafety,
-            "rng-discipline" => Rule::RngDiscipline,
-            "suppression-budget" => Rule::SuppressionBudget,
             "bad-suppression" => Rule::BadSuppression,
             _ => return None,
         })
     }
-
-    /// Every rule, in reporting order.
-    pub const ALL: [Rule; 6] = [
-        Rule::UnitHygiene,
-        Rule::FloatEq,
-        Rule::ShardSafety,
-        Rule::RngDiscipline,
-        Rule::SuppressionBudget,
-        Rule::BadSuppression,
-    ];
 }
 
 /// One source file to lint.
@@ -109,60 +80,14 @@ pub struct LintOutcome {
     pub findings: Vec<Finding>,
     /// Number of findings silenced by `simlint: allow` comments.
     pub suppressed: usize,
-    /// Number of files scanned.
-    pub files_scanned: usize,
-    /// Per-rule counts of well-formed, justified `simlint: allow`
-    /// directives present in the scanned sources (whether or not each
-    /// silenced a finding this run) — the in-source half of the
-    /// suppression budget.
-    pub allow_directives: BTreeMap<String, usize>,
 }
 
 /// Crates whose public functions the unit-hygiene rule covers.
 const UNIT_HYGIENE_CRATES: [&str; 2] = ["radio", "sim"];
-/// Crates the sharded engine will run in parallel: all state reachable
-/// from a region shard must be `Send` by construction.
-const SHARD_SAFETY_CRATES: [&str; 4] = ["sim", "mac", "core", "radio"];
-/// Crates whose hot paths must not consume a sequential RNG stream.
-const RNG_DISCIPLINE_CRATES: [&str; 3] = ["sim", "mac", "core"];
-/// The sequential RNG type rng-discipline tracks.
-const SEQ_RNG: &str = "StdRng";
-/// Method names that consume a sequential RNG stream.
-const DRAW_METHODS: [&str; 12] = [
-    "gen",
-    "gen_range",
-    "gen_bool",
-    "gen_ratio",
-    "sample",
-    "sample_iter",
-    "fill",
-    "fill_bytes",
-    "next_u32",
-    "next_u64",
-    "shuffle",
-    "choose",
-];
-/// Identifiers banned outright by shard-safety (non-`Send` shared
-/// ownership and single-thread interior mutability).
-const SHARD_BANNED: [(&str, &str); 4] = [
-    ("Rc", "`Rc` is shared ownership without `Send`"),
-    (
-        "RefCell",
-        "`RefCell` is run-time interior mutability without `Sync`",
-    ),
-    ("Cell", "`Cell` is interior mutability without `Sync`"),
-    (
-        "UnsafeCell",
-        "`UnsafeCell` is unsynchronized interior mutability",
-    ),
-];
 
 /// Lints a set of library source files and applies suppressions.
 pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
-    let mut outcome = LintOutcome {
-        files_scanned: files.len(),
-        ..LintOutcome::default()
-    };
+    let mut outcome = LintOutcome::default();
     let mut raw: Vec<Finding> = Vec::new();
 
     let mut lexed_files: Vec<(usize, Lexed)> = Vec::new();
@@ -172,23 +97,11 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
 
     for (idx, lexed) in &lexed_files {
         let file = &files[*idx];
-        let model = FileModel::parse(lexed);
         check_float_eq(file, lexed, &mut raw);
         if UNIT_HYGIENE_CRATES.contains(&file.crate_name.as_str()) {
-            check_unit_hygiene(file, lexed, &model, &mut raw);
-        }
-        if SHARD_SAFETY_CRATES.contains(&file.crate_name.as_str()) {
-            check_shard_safety(file, lexed, &model, &mut raw);
-        }
-        if RNG_DISCIPLINE_CRATES.contains(&file.crate_name.as_str()) {
-            check_rng_discipline(file, lexed, &model, &mut raw);
+            check_unit_hygiene(file, lexed, &FileModel::parse(lexed), &mut raw);
         }
         check_directives(file, lexed, &mut raw);
-        for d in &lexed.directives {
-            if d.well_formed && d.has_reason && Rule::from_name(&d.rule).is_some() {
-                *outcome.allow_directives.entry(d.rule.clone()).or_insert(0) += 1;
-            }
-        }
     }
 
     // Apply suppressions: a well-formed, justified directive for the
@@ -239,15 +152,18 @@ fn push(file: &SourceFile, rule: Rule, line: u32, message: String, out: &mut Vec
     });
 }
 
-/// float-eq: `==`/`!=` where either operand is a float literal.
+/// float-eq: `==`/`!=` where either operand is a float literal. A
+/// negative right-hand literal lexes as `-` then the literal.
 fn check_float_eq(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Finding>) {
     let toks = &lexed.tokens;
+    let is_float = |j: usize| toks.get(j).is_some_and(|t| t.kind == TokKind::Float);
     for (i, t) in toks.iter().enumerate() {
         if lexed.in_test[i] || !(t.is_punct("==") || t.is_punct("!=")) {
             continue;
         }
-        let float_prev = i > 0 && toks[i - 1].kind == TokKind::Float;
-        let float_next = toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Float);
+        let float_prev = i > 0 && is_float(i - 1);
+        let float_next = is_float(i + 1)
+            || (toks.get(i + 1).is_some_and(|n| n.is_punct("-")) && is_float(i + 2));
         if float_prev || float_next {
             push(
                 file,
@@ -286,7 +202,7 @@ fn unit_suggestion(name: &str) -> Option<&'static str> {
 /// unit-hygiene: `pub fn` parameters whose names imply a physical unit
 /// must not be raw `f64`. Runs on the item model's parsed signatures.
 fn check_unit_hygiene(file: &SourceFile, lexed: &Lexed, model: &FileModel, out: &mut Vec<Finding>) {
-    for f in model.functions() {
+    for f in &model.functions {
         if !f.is_pub || lexed.in_test[f.name_idx] {
             continue;
         }
@@ -310,243 +226,6 @@ fn check_unit_hygiene(file: &SourceFile, lexed: &Lexed, model: &FileModel, out: 
             }
         }
     }
-}
-
-/// shard-safety: per-region parallel shards require `Send` state by
-/// construction, so the crates the engine will shard ban non-`Send`
-/// shared ownership and single-thread interior mutability outright:
-/// `Rc`, `RefCell`, `Cell`, `UnsafeCell`, `static mut`,
-/// `thread_local!`, and raw-pointer struct fields.
-fn check_shard_safety(file: &SourceFile, lexed: &Lexed, model: &FileModel, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    // One finding per (line, name), so `Rc::new(RefCell::new(..))`
-    // reports each banned type once even when repeated on the line.
-    let mut seen: Vec<(u32, &str)> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if lexed.in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.is_ident("static") && toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
-            push(
-                file,
-                Rule::ShardSafety,
-                t.line,
-                "`static mut` is shared mutable state — a per-region shard cannot own it; \
-                 pass state through the shard explicitly"
-                    .to_string(),
-                out,
-            );
-            continue;
-        }
-        if t.is_ident("thread_local") && toks.get(i + 1).is_some_and(|n| n.is_punct("!")) {
-            push(
-                file,
-                Rule::ShardSafety,
-                t.line,
-                "`thread_local!` pins state to a worker thread — shards migrate between \
-                 threads, so thread-local state breaks determinism"
-                    .to_string(),
-                out,
-            );
-            continue;
-        }
-        for (name, why) in SHARD_BANNED {
-            if t.is_ident(name) && !seen.contains(&(t.line, name)) {
-                seen.push((t.line, name));
-                push(
-                    file,
-                    Rule::ShardSafety,
-                    t.line,
-                    format!(
-                        "{why} — shard state must be `Send` by construction; use owned \
-                         state, `Arc<Mutex<..>>`, or restructure (or justify with \
-                         `simlint: allow(shard-safety)`)"
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-    // Raw-pointer fields: a struct holding `*const`/`*mut` cannot be
-    // `Send` without an unsafe impl the rule refuses to assume.
-    for s in model.structs() {
-        for field in &s.fields {
-            let Some(first) = model.tokens.get(field.ty.0) else {
-                continue;
-            };
-            if first.is_punct("*") && !lexed.in_test[field.ty.0] {
-                push(
-                    file,
-                    Rule::ShardSafety,
-                    field.line,
-                    format!(
-                        "raw-pointer field in `{}` — `*const`/`*mut` fields make the struct \
-                         non-`Send`; hold an index or an owned handle instead",
-                        s.name
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Whether a function is a constructor by naming convention — one-time
-/// setup draws (seed derivation) are not hot-path sequential draws, and
-/// the sharded engine re-derives per-shard seeds at construction.
-fn is_constructor(name: &str) -> bool {
-    name == "new" || name.starts_with("new_") || name.starts_with("with_")
-}
-
-/// rng-discipline: sequential `StdRng` draws create a data dependence
-/// across every consumer of the stream, which (a) serializes the hot
-/// path and (b) cannot be split across region shards without changing
-/// results. Outside constructors and tests, hot-path code must use the
-/// counter-based keyed streams (`comap_radio::stream`'s
-/// `(seed, ident, counter)` pattern, DESIGN.md §11). The migration is
-/// complete: the suppression budget is 0, so any new sequential draw
-/// is a hard failure (see [`BUDGETS`](crate::report::BUDGETS)).
-fn check_rng_discipline(
-    file: &SourceFile,
-    lexed: &Lexed,
-    model: &FileModel,
-    out: &mut Vec<Finding>,
-) {
-    // Struct fields of the sequential RNG type, e.g. `rng: StdRng`.
-    let mut rng_fields: Vec<String> = Vec::new();
-    for s in model.structs() {
-        for field in &s.fields {
-            if let Some(name) = &field.name {
-                if model.range_mentions_seq_rng(field.ty) && !rng_fields.contains(name) {
-                    rng_fields.push(name.clone());
-                }
-            }
-        }
-    }
-    for f in model.functions() {
-        if lexed.in_test[f.name_idx] || is_constructor(&f.name) {
-            continue;
-        }
-        let Some(body) = f.body else { continue };
-        let locals = rng_locals(model, f, body);
-        scan_body_for_draws(file, lexed, model, body, &rng_fields, &locals, out);
-    }
-}
-
-impl FileModel<'_> {
-    /// Whether `range` mentions the tracked sequential RNG type.
-    fn range_mentions_seq_rng(&self, range: Range) -> bool {
-        let end = range.1.min(self.tokens.len());
-        self.tokens[range.0..end]
-            .iter()
-            .any(|t| t.is_ident(SEQ_RNG))
-    }
-}
-
-/// Names of `StdRng`-typed bindings in scope inside `f`'s body:
-/// parameters with an `StdRng` type and `let` bindings whose type or
-/// initializer mentions `StdRng`.
-fn rng_locals(model: &FileModel, f: &FnItem, body: (usize, usize)) -> Vec<String> {
-    let mut locals: Vec<String> = Vec::new();
-    for p in &f.params {
-        if model.range_mentions_seq_rng(p.ty) && !locals.contains(&p.name) {
-            locals.push(p.name.clone());
-        }
-    }
-    for b in model.let_bindings(body) {
-        if (model.range_mentions_seq_rng(b.ty) || model.range_mentions_seq_rng(b.init))
-            && !locals.contains(&b.name)
-        {
-            locals.push(b.name);
-        }
-    }
-    locals
-}
-
-fn scan_body_for_draws(
-    file: &SourceFile,
-    lexed: &Lexed,
-    model: &FileModel,
-    body: (usize, usize),
-    rng_fields: &[String],
-    locals: &[String],
-    out: &mut Vec<Finding>,
-) {
-    let toks = model.tokens;
-    let end = body.1.min(toks.len());
-    let mut i = body.0 + 1;
-    while i < end {
-        if lexed.in_test[i] {
-            i += 1;
-            continue;
-        }
-        // `self.<rng-field>` …
-        if toks[i].is_ident("self")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("."))
-            && toks
-                .get(i + 2)
-                .is_some_and(|t| rng_fields.iter().any(|f| t.is_ident(f)))
-        {
-            let field_idx = i + 2;
-            if let Some(finding_line) = rng_use_after(model, i, field_idx) {
-                push_rng_finding(file, finding_line, &toks[field_idx].text, out);
-            }
-            i = field_idx + 1;
-            continue;
-        }
-        // Bare local rng binding (not a path segment or field access).
-        if toks[i].kind == TokKind::Ident
-            && locals.iter().any(|l| toks[i].is_ident(l))
-            && !(i > 0 && (toks[i - 1].is_punct(".") || toks[i - 1].is_punct("::")))
-        {
-            if let Some(finding_line) = rng_use_after(model, i, i) {
-                push_rng_finding(file, finding_line, &toks[i].text, out);
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Decides whether the rng expression whose *first* token sits at
-/// `start` (for `&mut` lookbehind) and whose last token sits at `last`
-/// is a sequential use: a draw-method call, or a `&mut` borrow handing
-/// the stream to a callee. Returns the line to report.
-fn rng_use_after(model: &FileModel, start: usize, last: usize) -> Option<u32> {
-    let toks = model.tokens;
-    // `&mut <rng>` — the stream escapes into a callee (or a reborrow).
-    if start >= 2 && toks[start - 1].is_ident("mut") && toks[start - 2].is_punct("&") {
-        return Some(toks[last].line);
-    }
-    // `<rng>.method(..)` / `<rng>.method::<T>(..)` with a draw method.
-    if toks.get(last + 1).is_some_and(|t| t.is_punct("."))
-        && toks
-            .get(last + 2)
-            .is_some_and(|t| DRAW_METHODS.iter().any(|m| t.is_ident(m)))
-    {
-        let m = last + 2;
-        let call = toks.get(m + 1).is_some_and(|t| t.is_punct("("))
-            || (toks.get(m + 1).is_some_and(|t| t.is_punct("::"))
-                && toks.get(m + 2).is_some_and(|t| t.is_punct("<")));
-        if call {
-            return Some(toks[m].line);
-        }
-    }
-    None
-}
-
-fn push_rng_finding(file: &SourceFile, line: u32, binding: &str, out: &mut Vec<Finding>) {
-    push(
-        file,
-        Rule::RngDiscipline,
-        line,
-        format!(
-            "sequential `{SEQ_RNG}` draw through `{binding}` in hot-path simulation code — \
-             use a counter-based keyed stream (`comap_radio::stream`, DESIGN.md §11) so \
-             shards never share a mutable RNG; the migration is complete and the \
-             suppression budget is 0, so new sequential draws are hard failures"
-        ),
-        out,
-    );
 }
 
 /// bad-suppression: every `simlint:` comment must be a well-formed
@@ -598,6 +277,10 @@ mod tests {
         let src = "fn f(x: f64, n: u32) { if x == 0.0 {} if n == 0 {} }\n";
         let out = lint_files(&[file("core", "crates/core/src/x.rs", src)]);
         assert_eq!(rules_of(&out), vec![(Rule::FloatEq, 1)]);
+        // Negative literals on either side; `- 1` is an integer.
+        let src = "fn f(x: f64, n: i32) {\n if x == -1.0 {}\n if -2.5 != x {}\n if n == -1 {}\n}\n";
+        let out = lint_files(&[file("core", "crates/core/src/x.rs", src)]);
+        assert_eq!(rules_of(&out), vec![(Rule::FloatEq, 2), (Rule::FloatEq, 3)]);
     }
 
     #[test]
@@ -618,57 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_safety_flags_banned_state() {
-        let src = "use std::rc::Rc;\n\
-                   static mut COUNTER: u32 = 0;\n\
-                   pub struct S { raw: *const u8 }\n";
-        let out = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
-        assert_eq!(
-            rules_of(&out),
-            vec![
-                (Rule::ShardSafety, 1),
-                (Rule::ShardSafety, 2),
-                (Rule::ShardSafety, 3)
-            ]
-        );
-        // The experiments crate may use whatever it likes.
-        let unflagged = lint_files(&[file("experiments", "crates/experiments/src/x.rs", src)]);
-        assert!(unflagged.findings.is_empty());
-    }
-
-    #[test]
-    fn rng_discipline_exempts_constructors_and_tests() {
-        let src = "use rand::rngs::StdRng;\n\
-                   pub struct E { rng: StdRng }\n\
-                   impl E {\n\
-                   \x20   pub fn new(mut rng: StdRng) -> Self { let s = rng.gen::<u64>(); E { rng } }\n\
-                   \x20   pub fn draw(&mut self) -> f64 { self.rng.gen::<f64>() }\n\
-                   }\n\
-                   #[cfg(test)]\n\
-                   mod tests { fn t() { let mut r = StdRng::seed_from_u64(1); r.gen::<u64>(); } }\n";
-        let out = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
-        assert_eq!(rules_of(&out), vec![(Rule::RngDiscipline, 5)]);
-    }
-
-    #[test]
-    fn rng_discipline_tracks_mut_borrows_and_locals() {
-        let src = "use rand::rngs::StdRng;\n\
-                   pub struct E { rng: StdRng, seed: u64 }\n\
-                   impl E {\n\
-                   \x20   pub fn fade(&mut self) -> f64 { helper(&mut self.rng) }\n\
-                   \x20   pub fn local(&self) -> f64 {\n\
-                   \x20       let mut r = StdRng::seed_from_u64(self.seed);\n\
-                   \x20       r.gen::<f64>()\n\
-                   \x20   }\n\
-                   }\n";
-        let out = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
-        assert_eq!(
-            rules_of(&out),
-            vec![(Rule::RngDiscipline, 4), (Rule::RngDiscipline, 7)]
-        );
-    }
-
-    #[test]
     fn bad_suppressions_are_reported() {
         let src = "// simlint: allow(no-such-rule) — reason text\n\
                    // simlint: allow(float-eq)\n\
@@ -682,13 +314,12 @@ mod tests {
                 (Rule::BadSuppression, 3)
             ]
         );
-        // None of the bad directives count toward the allow budget.
-        assert!(out.allow_directives.is_empty());
     }
 
     #[test]
     fn test_modules_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::rc::Rc;\n    fn t() { assert!(1.0 == 1.0); }\n}\n";
+        let src =
+            "#[cfg(test)]\nmod tests {\n    pub fn t(power: f64) { assert!(power == 1.0); }\n}\n";
         let out = lint_files(&[file("sim", "crates/sim/src/x.rs", src)]);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }

@@ -1,19 +1,17 @@
-//! Delimiter matching and the item-level source model.
+//! Delimiter matching and the `fn`-signature model.
 //!
-//! The flat token stream is precise enough for "this identifier is
-//! banned" but not for anything structural: function signatures, struct
-//! fields, `let` bindings. This module adds the missing layer without
-//! pulling in `syn` (the vendor tree has none): [`partners`] pairs every
-//! `(`/`[`/`{` with its closing delimiter, and [`FileModel::parse`]
-//! resolves the item skeleton on top — `fn` signatures (name,
-//! visibility, parsed parameter list, body range), `impl` and `mod`
-//! nesting, `struct` fields, and an on-demand per-function
-//! `let`-binding scan.
+//! The flat token stream is precise enough for "this token follows
+//! that one" but not for function signatures. This module adds the
+//! missing layer without pulling in `syn` (the vendor tree has none):
+//! [`partners`] pairs every `(`/`[`/`{` with its closing delimiter, and
+//! [`FileModel::parse`] resolves every `fn` signature on top — name,
+//! visibility and parsed parameter list — through `impl` and `mod`
+//! nesting.
 //!
-//! The model is deliberately shallow: it resolves exactly as much
-//! structure as the rules in [`crate::rules`] consume, and it is
-//! tolerant — unbalanced delimiters close at end-of-file instead of
-//! failing, so a half-edited file still lints.
+//! The model is deliberately shallow: it resolves exactly the
+//! signatures `unit-hygiene` reads, and it is tolerant — unbalanced
+//! delimiters close at end-of-file instead of failing, so a half-edited
+//! file still lints.
 
 use crate::lexer::{Lexed, TokKind, Token};
 
@@ -92,207 +90,45 @@ pub struct Param {
 pub struct FnItem {
     /// The function name.
     pub name: String,
-    /// 1-based line of the name token.
-    pub line: u32,
     /// Token index of the name (for test-region checks).
     pub name_idx: usize,
     /// Whether the signature carries `pub` (any visibility scope).
     pub is_pub: bool,
     /// Parsed parameters, in order.
     pub params: Vec<Param>,
-    /// Token indices of the body braces `(open, close)`, when the
-    /// function has a body (trait methods may not).
-    pub body: Option<(usize, usize)>,
 }
 
-/// One parsed struct field.
-#[derive(Debug)]
-pub struct Field {
-    /// Field name (`None` for tuple-struct fields).
-    pub name: Option<String>,
-    /// 1-based line the field starts on.
-    pub line: u32,
-    /// Token range of the field type.
-    pub ty: Range,
-}
-
-/// One parsed `struct` item.
-#[derive(Debug)]
-pub struct StructItem {
-    /// The struct name.
-    pub name: String,
-    /// Parsed fields (empty for unit structs).
-    pub fields: Vec<Field>,
-}
-
-/// One item in the resolved skeleton.
-#[derive(Debug)]
-pub enum Item {
-    /// A function (free, or inside an `impl`/`mod`).
-    Fn(FnItem),
-    /// A struct declaration.
-    Struct(StructItem),
-    /// An `impl` block; children are its items.
-    Impl(Vec<Item>),
-    /// A `mod name { … }` block; children are its items.
-    Mod(Vec<Item>),
-}
-
-/// The fully resolved model of one lexed file.
+/// The `fn` signatures of one lexed file.
 #[derive(Debug)]
 pub struct FileModel<'a> {
     /// The underlying token stream.
     pub tokens: &'a [Token],
-    /// Delimiter partner table (see [`partners`]).
-    pub partner: Vec<usize>,
-    /// The item skeleton (top level; `impl`/`mod` nest inside).
-    pub items: Vec<Item>,
+    /// Every function in the file, `impl`/`mod` nesting flattened.
+    pub functions: Vec<FnItem>,
 }
 
 impl<'a> FileModel<'a> {
-    /// Parses the item skeleton of `lexed`.
+    /// Parses the `fn` signatures of `lexed`.
     pub fn parse(lexed: &'a Lexed) -> FileModel<'a> {
         let tokens = &lexed.tokens;
         let partner = partners(tokens);
-        let items = parse_items(tokens, &partner, 0, tokens.len());
-        FileModel {
-            tokens,
-            partner,
-            items,
-        }
-    }
-
-    /// Every function in the file, `impl`/`mod` nesting flattened.
-    pub fn functions(&self) -> Vec<&FnItem> {
-        let mut out = Vec::new();
-        collect_fns(&self.items, &mut out);
-        out
-    }
-
-    /// Every struct in the file, nesting flattened.
-    pub fn structs(&self) -> Vec<&StructItem> {
-        let mut out = Vec::new();
-        collect_structs(&self.items, &mut out);
-        out
-    }
-
-    /// `let` bindings anywhere inside the body range `(open, close)`
-    /// of a function: `(name, line, ty-or-empty, init-or-empty)`.
-    /// Tuple/struct-pattern lets are skipped — the rules only resolve
-    /// single-name bindings.
-    pub fn let_bindings(&self, body: (usize, usize)) -> Vec<LetBinding> {
-        let toks = self.tokens;
-        let mut out = Vec::new();
-        let mut k = body.0 + 1;
-        while k < body.1.min(toks.len()) {
-            if !toks[k].is_ident("let") {
-                k += 1;
-                continue;
-            }
-            let mut j = k + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            let Some(name_tok) = toks.get(j).filter(|t| t.kind == TokKind::Ident) else {
-                k = j + 1;
-                continue;
-            };
-            let name = name_tok.text.clone();
-            let line = name_tok.line;
-            j += 1;
-            // Optional `: Type` up to a top-level `=` or `;` (angle
-            // depth tracked: associated-type bindings contain `=`).
-            let mut ty: Range = (j, j);
-            if toks.get(j).is_some_and(|t| t.is_punct(":")) {
-                j += 1;
-                let ty_start = j;
-                let mut angle = 0i32;
-                while j < body.1.min(toks.len()) {
-                    let t = &toks[j];
-                    if t.kind == TokKind::Punct {
-                        match t.text.as_str() {
-                            "<" => angle += 1,
-                            ">" => angle -= 1,
-                            ">>" => angle -= 2,
-                            "=" if angle <= 0 => break,
-                            ";" => break,
-                            _ => {}
-                        }
-                        if self.partner[j] > j {
-                            j = self.partner[j];
-                        }
-                    }
-                    j += 1;
-                }
-                ty = (ty_start, j);
-            }
-            // Optional `= init` up to the terminating `;`.
-            let mut init: Range = (j, j);
-            if toks.get(j).is_some_and(|t| t.is_punct("=")) {
-                j += 1;
-                let init_start = j;
-                while j < body.1.min(toks.len()) {
-                    if toks[j].is_punct(";") {
-                        break;
-                    }
-                    if self.partner[j] > j {
-                        j = self.partner[j];
-                    }
-                    j += 1;
-                }
-                init = (init_start, j);
-            }
-            out.push(LetBinding {
-                name,
-                line,
-                ty,
-                init,
-            });
-            k = j + 1;
-        }
-        out
-    }
-}
-
-/// One `let` binding found by [`FileModel::let_bindings`].
-#[derive(Debug)]
-pub struct LetBinding {
-    /// The bound name.
-    pub name: String,
-    /// 1-based line of the name.
-    pub line: u32,
-    /// Token range of the type annotation (empty when absent).
-    pub ty: Range,
-    /// Token range of the initializer (empty when absent).
-    pub init: Range,
-}
-
-fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<&'a FnItem>) {
-    for item in items {
-        match item {
-            Item::Fn(f) => out.push(f),
-            Item::Impl(children) | Item::Mod(children) => collect_fns(children, out),
-            _ => {}
-        }
-    }
-}
-
-fn collect_structs<'a>(items: &'a [Item], out: &mut Vec<&'a StructItem>) {
-    for item in items {
-        match item {
-            Item::Struct(s) => out.push(s),
-            Item::Impl(children) | Item::Mod(children) => collect_structs(children, out),
-            _ => {}
-        }
+        let mut functions = Vec::new();
+        parse_items(tokens, &partner, 0, tokens.len(), &mut functions);
+        FileModel { tokens, functions }
     }
 }
 
 /// Parses one item level: the token range `[start, end)` must sit at a
 /// single nesting depth (the whole file, a `mod` body, an `impl`
 /// body). Function bodies are *not* descended into — statements are
-/// not items (`let`s are scanned on demand).
-fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) -> Vec<Item> {
-    let mut items = Vec::new();
+/// not items.
+fn parse_items(
+    tokens: &[Token],
+    partner: &[usize],
+    start: usize,
+    end: usize,
+    out: &mut Vec<FnItem>,
+) {
     let mut i = start;
     while i < end.min(tokens.len()) {
         let t = &tokens[i];
@@ -310,10 +146,9 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
         }
         match t.text.as_str() {
             "mod" => {
-                if let Some((name_idx, open)) = named_block(tokens, partner, i, end) {
-                    let _ = name_idx;
+                if let Some(open) = named_block(tokens, partner, i, end) {
                     let close = partner[open];
-                    items.push(Item::Mod(parse_items(tokens, partner, open + 1, close)));
+                    parse_items(tokens, partner, open + 1, close, out);
                     i = close + 1;
                 } else {
                     i = skip_to_semi(tokens, partner, i, end);
@@ -322,7 +157,7 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
             "impl" => {
                 if let Some(open) = next_brace(tokens, partner, i + 1, end) {
                     let close = partner[open];
-                    items.push(Item::Impl(parse_items(tokens, partner, open + 1, close)));
+                    parse_items(tokens, partner, open + 1, close, out);
                     i = close + 1;
                 } else {
                     i += 1;
@@ -331,37 +166,23 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
             "fn" => {
                 let (item, next) = parse_fn(tokens, partner, i, end);
                 if let Some(f) = item {
-                    items.push(Item::Fn(f));
-                }
-                i = next;
-            }
-            "struct" => {
-                let (item, next) = parse_struct(tokens, partner, i, end);
-                if let Some(s) = item {
-                    items.push(Item::Struct(s));
+                    out.push(f);
                 }
                 i = next;
             }
             _ => i += 1,
         }
     }
-    items
 }
 
-/// `mod name {`: returns `(name index, brace index)`.
-fn named_block(
-    tokens: &[Token],
-    partner: &[usize],
-    kw: usize,
-    end: usize,
-) -> Option<(usize, usize)> {
-    let name = kw + 1;
-    if tokens.get(name)?.kind != TokKind::Ident {
+/// `mod name {`: returns the brace index.
+fn named_block(tokens: &[Token], partner: &[usize], kw: usize, end: usize) -> Option<usize> {
+    if tokens.get(kw + 1)?.kind != TokKind::Ident {
         return None;
     }
-    let open = name + 1;
+    let open = kw + 2;
     if open < end && tokens.get(open).is_some_and(|t| t.is_punct("{")) && partner[open] > open {
-        Some((name, open))
+        Some(open)
     } else {
         None
     }
@@ -431,20 +252,18 @@ fn parse_fn(tokens: &[Token], partner: &[usize], kw: usize, end: usize) -> (Opti
     }
     let params = parse_params(tokens, partner, j + 1, partner[j]);
     let after_params = partner[j] + 1;
-    // Body: the next `{` group before any `;` at this level.
-    let body = next_brace(tokens, partner, after_params, end).map(|open| (open, partner[open]));
-    let resume = match body {
-        Some((_, close)) => close + 1,
+    // Resume after the body — the next `{` group before any `;` at this
+    // level — or after the `;` of a bodyless trait method.
+    let resume = match next_brace(tokens, partner, after_params, end) {
+        Some(open) => partner[open] + 1,
         None => skip_to_semi(tokens, partner, after_params, end),
     };
     (
         Some(FnItem {
             name: name_tok.text.clone(),
-            line: name_tok.line,
             name_idx: kw + 1,
             is_pub,
             params,
-            body,
         }),
         resume,
     )
@@ -550,111 +369,6 @@ fn parse_param(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
     })
 }
 
-/// Parses `struct Name;` / `struct Name(T, U);` / `struct Name { … }`.
-fn parse_struct(
-    tokens: &[Token],
-    partner: &[usize],
-    kw: usize,
-    end: usize,
-) -> (Option<StructItem>, usize) {
-    let Some(name_tok) = tokens.get(kw + 1).filter(|t| t.kind == TokKind::Ident) else {
-        return (None, kw + 1);
-    };
-    let mut j = kw + 2;
-    // Skip generics.
-    if tokens.get(j).is_some_and(|t| t.is_punct("<")) {
-        let mut depth = 0i32;
-        while j < end.min(tokens.len()) {
-            match tokens[j].text.as_str() {
-                "<" => depth += 1,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            j += 1;
-            if depth <= 0 {
-                break;
-            }
-        }
-    }
-    let mut fields = Vec::new();
-    let resume;
-    if tokens.get(j).is_some_and(|t| t.is_punct("(")) && partner[j] > j {
-        // Tuple struct: each top-level segment is a type.
-        let close = partner[j];
-        let mut seg = j + 1;
-        let mut i = j + 1;
-        while i <= close {
-            if i == close || tokens[i].is_punct(",") {
-                if seg < i {
-                    fields.push(Field {
-                        name: None,
-                        line: tokens[seg].line,
-                        ty: (seg, i),
-                    });
-                }
-                seg = i + 1;
-            } else if partner[i] > i {
-                i = partner[i];
-            }
-            i += 1;
-        }
-        resume = skip_to_semi(tokens, partner, close + 1, end);
-    } else if let Some(open) = next_brace(tokens, partner, j, end) {
-        let close = partner[open];
-        let mut i = open + 1;
-        let mut seg = i;
-        while i <= close {
-            if i == close || (tokens[i].is_punct(",") && partner[i] == i) {
-                if let Some(f) = parse_field(tokens, partner, seg, i) {
-                    fields.push(f);
-                }
-                seg = i + 1;
-            } else if partner[i] > i {
-                i = partner[i];
-            }
-            i += 1;
-        }
-        resume = close + 1;
-    } else {
-        resume = skip_to_semi(tokens, partner, j, end);
-    }
-    (
-        Some(StructItem {
-            name: name_tok.text.clone(),
-            fields,
-        }),
-        resume,
-    )
-}
-
-fn parse_field(tokens: &[Token], partner: &[usize], start: usize, end: usize) -> Option<Field> {
-    let mut i = start;
-    // Skip attributes and visibility.
-    while i < end {
-        let t = &tokens[i];
-        if t.is_punct("#") && tokens.get(i + 1).is_some_and(|n| n.is_punct("[")) {
-            i = partner[i + 1].max(i + 1) + 1;
-        } else if t.is_ident("pub") {
-            i += 1;
-            if tokens.get(i).is_some_and(|t| t.is_punct("(")) && partner[i] > i {
-                i = partner[i] + 1;
-            }
-        } else {
-            break;
-        }
-    }
-    let name_tok = tokens.get(i).filter(|t| t.kind == TokKind::Ident)?;
-    if !tokens.get(i + 1).is_some_and(|t| t.is_punct(":")) {
-        return None;
-    }
-    Some(Field {
-        name: Some(name_tok.text.clone()),
-        line: name_tok.line,
-        ty: (i + 2, end),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,38 +402,11 @@ mod tests {
             "impl X { pub fn go<F: Fn(u32) -> u64>(&mut self, dist: f64, m: Map<K, V>) -> u64 { 0 } }",
         );
         let model = FileModel::parse(&lexed);
-        let fns = model.functions();
-        assert_eq!(fns.len(), 1);
-        let f = fns[0];
+        assert_eq!(model.functions.len(), 1);
+        let f = &model.functions[0];
         assert_eq!(f.name, "go");
         assert!(f.is_pub);
-        assert!(f.body.is_some());
         let names: Vec<&str> = f.params.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["self", "dist", "m"]);
-    }
-
-    #[test]
-    fn struct_fields_resolve_types() {
-        let lexed = lex("pub struct S { pub a: Rc<RefCell<u32>>, raw: *const u8 }");
-        let model = FileModel::parse(&lexed);
-        let s = &model.structs()[0];
-        assert_eq!(s.name, "S");
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[1].name.as_deref(), Some("raw"));
-        assert!(model.tokens[s.fields[1].ty.0].is_punct("*"));
-    }
-
-    #[test]
-    fn let_bindings_scan_resolves_types_and_inits() {
-        let lexed = lex(
-            "fn f() { let mut rng = StdRng::seed_from_u64(1); if x { let t: Foo<Item = u32> = g(); } }",
-        );
-        let model = FileModel::parse(&lexed);
-        let body = model.functions()[0].body.expect("body");
-        let lets = model.let_bindings(body);
-        assert_eq!(lets.len(), 2);
-        assert_eq!(lets[0].name, "rng");
-        assert!(model.tokens[lets[0].init.0].is_ident("StdRng"));
-        assert_eq!(lets[1].name, "t");
     }
 }

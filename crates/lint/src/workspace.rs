@@ -1,4 +1,4 @@
-//! Workspace discovery and source collection.
+//! Source collection.
 //!
 //! simlint audits *library* code: `src/` of the root crate and of every
 //! crate under `crates/`. Binaries (`src/main.rs`, `src/bin/`), tests,
@@ -12,22 +12,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::rules::SourceFile;
-
-/// Walks upward from `start` to the nearest directory whose
-/// `Cargo.toml` declares `[workspace]`.
-pub fn discover_workspace(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
-}
 
 /// Collects every in-scope library source file under `root`, sorted by
 /// workspace-relative path for deterministic output.
@@ -91,7 +75,7 @@ fn walk_src(
 }
 
 /// Loads one file as a [`SourceFile`] with a `/`-separated relative path.
-pub fn load_source(root: &Path, path: &Path, crate_name: &str) -> io::Result<SourceFile> {
+fn load_source(root: &Path, path: &Path, crate_name: &str) -> io::Result<SourceFile> {
     let text = fs::read_to_string(path)?;
     let rel = path.strip_prefix(root).unwrap_or(path);
     let rel_path = rel
@@ -104,16 +88,4 @@ pub fn load_source(root: &Path, path: &Path, crate_name: &str) -> io::Result<Sou
         crate_name: crate_name.to_string(),
         text,
     })
-}
-
-/// Infers the short crate name from a workspace-relative path
-/// (`crates/<name>/...` → `<name>`, anything else → `comap`).
-pub fn crate_of(rel_path: &str) -> String {
-    let mut parts = rel_path.split('/');
-    if parts.next() == Some("crates") {
-        if let Some(name) = parts.next() {
-            return name.to_string();
-        }
-    }
-    "comap".to_string()
 }

@@ -11,7 +11,7 @@
 //!   analytical model (paper Section IV-D2, `τ = 2/(W+1)`), and the value
 //!   CO-MAP's adaptation table installs per hidden-terminal count.
 
-use rand::Rng;
+use comap_radio::stream::CounterRng;
 
 /// How the contention window evolves across retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +57,9 @@ impl BackoffPolicy {
 ///
 /// ```rust
 /// use comap_mac::backoff::{Backoff, BackoffPolicy};
-/// use rand::{rngs::StdRng, SeedableRng};
+/// use comap_radio::stream::CounterRng;
 ///
-/// let mut rng = StdRng::seed_from_u64(1);
+/// let mut rng = CounterRng::from_key(1, 0, 0);
 /// let mut b = Backoff::draw(BackoffPolicy::Constant { w: 15 }, 0, &mut rng);
 /// let start = b.slots_remaining();
 /// b.consume(3);
@@ -71,11 +71,11 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    /// Draws a fresh uniform backoff in `[0, CW(retries)]`.
-    pub fn draw<R: Rng + ?Sized>(policy: BackoffPolicy, retries: u32, rng: &mut R) -> Self {
-        let cw = policy.window(retries);
+    /// Draws a fresh uniform backoff in `[0, CW(retries)]` from a
+    /// counter-keyed stream.
+    pub fn draw(policy: BackoffPolicy, retries: u32, rng: &mut CounterRng) -> Self {
         Backoff {
-            slots: rng.gen_range(0..=cw),
+            slots: rng.below_inclusive(policy.window(retries)),
         }
     }
 
@@ -106,8 +106,6 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn beb_window_doubles_and_caps() {
@@ -129,7 +127,7 @@ mod tests {
 
     #[test]
     fn draw_is_within_window() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = CounterRng::from_key(3, 0, 0);
         for retries in 0..4 {
             for _ in 0..200 {
                 let b = Backoff::draw(BackoffPolicy::DSSS_DEFAULT, retries, &mut rng);
@@ -140,7 +138,7 @@ mod tests {
 
     #[test]
     fn draw_is_roughly_uniform() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = CounterRng::from_key(4, 0, 0);
         let n = 40_000;
         let w = 31;
         let sum: u64 = (0..n)

@@ -19,10 +19,21 @@
 //!
 //! The slow-fade streams introduced with the mobility rework (DESIGN.md
 //! §8) pioneered this pattern; the fast-fade, hazard-survival, backoff
-//! and localization draws follow it (DESIGN.md §11), which is what the
-//! `rng-discipline` lint's zero budget enforces.
+//! and localization draws follow it (DESIGN.md §11).
+//!
+//! This module is also the simulator's only gateway to `rand`:
+//! `comap-sim`, `comap-mac` and `comap-core` do not depend on it, so
+//! they cannot name the [`Rng`] trait and a sequential draw in their
+//! library code does not compile. What they need of a sequential
+//! generator — building one from a seed and drawing construction-time
+//! sub-seeds — goes through [`seeded`] and [`next_seed`]; per-event
+//! draws go through [`CounterRng`].
 
-use rand::RngCore;
+use rand::{Rng, RngCore, SeedableRng};
+
+/// The sequential generator type, re-exported so callers can hold one
+/// (and hand it to [`next_seed`]) without depending on `rand`.
+pub use rand::rngs::StdRng;
 
 /// Normal draws from [`normal_from_state`] are clamped to this many
 /// standard deviations. The clip is a modeling choice (one-sided mass
@@ -127,6 +138,26 @@ impl CounterRng {
             state: keyed_state(seed, ident, counter),
         }
     }
+
+    /// A uniform draw in `[0, hi]` — the same `gen_range(0..=hi)` call
+    /// a generic `impl Rng` callee would make, so draws are
+    /// bit-identical to it.
+    #[inline]
+    pub fn below_inclusive(&mut self, hi: u32) -> u32 {
+        self.gen_range(0..=hi)
+    }
+}
+
+/// A sequential generator whose stream is a pure function of `seed`.
+/// For construction-time derivation only (sub-seeds, initial
+/// localization error); per-event draws use [`CounterRng`].
+pub fn seeded(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed)
+}
+
+/// The next 64-bit sub-seed of a sequential stream (`rng.gen::<u64>()`).
+pub fn next_seed(rng: &mut StdRng) -> u64 {
+    rng.gen::<u64>()
 }
 
 impl RngCore for CounterRng {

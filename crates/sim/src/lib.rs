@@ -62,7 +62,7 @@
 #![forbid(unsafe_code)]
 // Library code must not panic or keep unused dependencies, and every
 // lint suppression is a reasoned `#[expect]`; clippy.toml bans wall
-// clocks and hash containers (DESIGN.md §10).
+// clocks, hash containers and single-thread shared state (DESIGN.md §10).
 #![cfg_attr(
     not(test),
     deny(
@@ -109,3 +109,17 @@ pub use profile::RunProfile;
 pub use rate::RateController;
 pub use sim::Simulator;
 pub use stats::SimReport;
+
+// All state a region shard would own is `Send + Sync` by construction,
+// so a raw-pointer field, an `Rc` or a `Cell` anywhere in it fails to
+// compile here (DESIGN.md §10). `Simulator` is left out: its boxed
+// observers need not be `Send`.
+const _: () = {
+    const fn shard_state<T: Send + Sync>() {}
+    shard_state::<medium::Medium>();
+    shard_state::<mac::Mac>();
+    shard_state::<comap_core::protocol::Protocol<NodeId>>();
+    shard_state::<event::EventQueue>();
+    shard_state::<SimReport>();
+    shard_state::<SimConfig>();
+};

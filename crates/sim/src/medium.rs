@@ -78,12 +78,11 @@
 //! struct-of-arrays link row — there is no sequential-RNG data
 //! dependence left to order it. See DESIGN.md §11.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 use comap_mac::time::SimTime;
 use comap_radio::pathloss::LogNormalShadowing;
-use comap_radio::stream::{keyed_state, link_key, mix64, normal_from_state, uniform_from_state};
+use comap_radio::stream::{
+    keyed_state, link_key, mix64, next_seed, normal_from_state, uniform_from_state, StdRng,
+};
 use comap_radio::units::{Db, Dbm, Meters, MilliWatts, QuantizedPower};
 use comap_radio::{Position, NOISE_FLOOR};
 
@@ -594,9 +593,9 @@ impl Medium {
         // Seed-derivation order matters for artifact stability: the
         // slow-fade seed draws first, so re-keying the per-frame
         // streams never perturbed the per-link slow fades.
-        let link_seed = rng.gen::<u64>();
-        let fade_seed = rng.gen::<u64>();
-        let hazard_seed = rng.gen::<u64>();
+        let link_seed = next_seed(&mut rng);
+        let fade_seed = next_seed(&mut rng);
+        let hazard_seed = next_seed(&mut rng);
         let q = quantum.value().max(0.0);
         let (mut qx, mut qy) = (Vec::new(), Vec::new());
         if q > 0.0 {
@@ -1468,7 +1467,7 @@ mod tests {
     use comap_mac::time::SimDuration;
     use comap_radio::rates::Rate;
     use comap_radio::units::Db;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     use crate::frame::FrameBody;
 

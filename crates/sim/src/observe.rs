@@ -807,9 +807,10 @@ pub fn parse_jsonl_line(line: &str) -> Option<(SimTime, SimEvent)> {
     Some((t, SimEvent::from_json(&value)?))
 }
 
-// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`: the sink must stay
-// `Send` so the sharded engine (ROADMAP item 1) can hand observers to
-// worker shards — the shard-safety lint forbids the single-thread pair.
+// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`: clippy.toml's
+// `disallowed-types` bans the single-thread pair in every target, so
+// sinks stay `Send + Sync` like the simulation state the shard-state
+// assertion in `lib.rs` pins.
 type SharedEvents = Arc<Mutex<Vec<(SimTime, SimEvent)>>>;
 
 /// Locks a shared-event buffer, recovering the data from a poisoned

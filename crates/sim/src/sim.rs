@@ -4,12 +4,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use comap_core::protocol::Protocol;
 use comap_mac::time::{SimDuration, SimTime};
-use comap_radio::stream::CounterRng;
+use comap_radio::stream::{seeded, CounterRng};
 use comap_radio::Position;
 
 use crate::config::SimConfig;
@@ -71,8 +68,8 @@ impl Simulator {
         let true_positions: Vec<Position> = cfg.nodes.iter().map(|s| s.position).collect();
 
         // Independent, seed-derived RNG streams.
-        let medium_rng = StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let mut error_rng = StdRng::seed_from_u64(cfg.seed ^ 0x6A09_E667_F3BC_C909);
+        let medium_rng = seeded(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
+        let mut error_rng = seeded(cfg.seed ^ 0x6A09_E667_F3BC_C909);
 
         let reported: Vec<Position> = true_positions
             .iter()

@@ -9,9 +9,8 @@
 //!    in-memory timeline saw, and a `SimReport` with a metrics section
 //!    round-trips through JSON losslessly.
 
-use std::cell::RefCell;
 use std::io;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use comap_mac::time::SimDuration;
 use comap_radio::Position;
@@ -41,11 +40,21 @@ const DURATION: SimDuration = SimDuration::from_millis(120);
 /// An `io::Write` that appends into a shared buffer, so a test can read
 /// back what a consumed [`JsonlSink`] wrote.
 #[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// The bytes written so far, recovering them from a poisoned mutex
+    /// as `TimelineSink` does.
+    fn bytes(&self) -> MutexGuard<'_, Vec<u8>> {
+        self.0
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
 
 impl io::Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
+        self.bytes().extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -73,7 +82,7 @@ fn sinks_do_not_perturb_the_report() {
     assert!(observed.metrics.is_some(), "MetricsSink fills the section");
     observed.metrics = None;
     assert_eq!(observed, bare, "sinks changed the simulation");
-    assert!(!buf.0.borrow().is_empty(), "the run produced events");
+    assert!(!buf.bytes().is_empty(), "the run produced events");
 }
 
 #[test]
@@ -106,7 +115,7 @@ fn jsonl_stream_matches_the_timeline() {
     sim.attach_sink(Box::new(timeline));
     sim.run(DURATION);
 
-    let text = String::from_utf8(buf.0.borrow().clone()).expect("UTF-8 JSONL");
+    let text = String::from_utf8(buf.bytes().clone()).expect("UTF-8 JSONL");
     let parsed: Vec<_> = text
         .lines()
         .map(|line| parse_jsonl_line(line).expect("every line parses"))
@@ -147,8 +156,8 @@ fn latency_sink_perturbs_neither_report_nor_event_stream() {
     observed.metrics = None;
     assert_eq!(observed, bare, "the latency sink changed the simulation");
     assert_eq!(
-        *buf.0.borrow(),
-        *ref_buf.0.borrow(),
+        *buf.bytes(),
+        *ref_buf.bytes(),
         "the latency sink changed the event stream"
     );
 }

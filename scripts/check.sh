@@ -17,15 +17,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> simlint --workspace (static invariants, hard gate)"
-# Suppression budgets are constants in simlint (crates/lint/src/report.rs).
-cargo run -q -p comap-lint --bin simlint -- --workspace \
-    --json target/simlint.json
-
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
+echo "==> tier-1: cargo test -q (simlint runs as its workspace_is_clean test)"
 cargo test -q
 
 echo "==> perfbench: own tests + --trace 1 mirror guard (cells_observed, 2 s)"
